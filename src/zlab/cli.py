@@ -13,7 +13,8 @@ alter any result, per the module concurrency contracts).
 
 Exit codes: 0 success, 1 argument or specification errors, 2 numerical
 failures, 3 a total-positivity violation found by tp-check, 4 a reality
-verification FAIL from z-verify.
+verification FAIL from z-verify or a scan/winding MISMATCH in an xi-zeros
+table (fresh or cached).
 
 Zero tables (z-zeros, xi-zeros) are cached under <outputdir>/cache keyed
 by the configuration hash; a hit skips recomputation unless --force.
@@ -352,7 +353,10 @@ def _zero_table_run(config: dict, compute, args, outdir: Path) -> tuple:
         summary.append(f"note: {note}")
     summary.append(f"table: {csv_path}")
     payload = {"kind": "csv", "path": f"cache/{csv_path.name}"}
-    return config, payload, text.encode(), summary, 0
+    # xi-zeros records its scan vs winding verdict in the notes; read it
+    # from the doc so a cache hit fails exactly as the fresh run did
+    mismatch = any("(MISMATCH)" in note for note in doc["notes"])
+    return config, payload, text.encode(), summary, 4 if mismatch else 0
 
 
 def _cmd_z_zeros(args, qc, pc, outdir):

@@ -39,10 +39,6 @@ class NonIntegrableTransform(ZlabError):
     """Characteristic function decays too slowly to invert."""
 
 
-class GridTooSmall(ZlabError):
-    """Minor check requested an order larger than the grid."""
-
-
 class NonSmoothPoint(ZlabError):
     """Finite-difference derivative failed its Richardson consistency check."""
 

@@ -71,12 +71,6 @@ class DD:
         self.lo = lo
 
     @classmethod
-    def make(cls, a, b):
-        """Normalize an arbitrary two-float sum."""
-        s, e = two_sum(a, b)
-        return cls(s, e)
-
-    @classmethod
     def from_product(cls, a, b):
         p, e = two_prod(a, b)
         return cls(p, e)
@@ -447,10 +441,6 @@ class DDComplex:
     def __init__(self, re: DD, im: DD):
         self.re = re
         self.im = im
-
-    @classmethod
-    def from_complex(cls, z: complex):
-        return cls(DD(z.real, 0.0), DD(z.imag, 0.0))
 
     def __add__(self, other):
         if isinstance(other, DDComplex):

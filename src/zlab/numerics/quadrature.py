@@ -48,8 +48,8 @@ class QuadratureConfig:
             raise InvalidSpec("panel_order must lie in [4, 64]")
         if self.max_refinements < 0:
             raise InvalidSpec("max_refinements must be nonnegative")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise InvalidSpec("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise InvalidSpec("tolerances must be finite and positive")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
             raise InvalidSpec("truncation_radius must be positive when given")
 

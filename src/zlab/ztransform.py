@@ -21,6 +21,7 @@ window the arithmetic can actually resolve.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -48,6 +49,7 @@ from .numerics.quadrature import (
 )
 from .numerics.specfun import hyper0f2
 from .rho import RhoSpec, density, density_dd, gue_spec, support_radius
+from .rho import moments as rho_moments
 
 _EPS = float(np.finfo(float).eps)
 _DD_EPS = 2.0**-104
@@ -164,17 +166,6 @@ class FlowResult:
     tables: list[ZeroTable]
 
 
-# ---------- weight closures ----------
-
-
-def _weights(zspec):
-    return zspec.weights()
-
-
-def _radius(zspec, im_z: float, pc: PrecisionConfig) -> float:
-    return zspec.radius(im_z, pc)
-
-
 # ---------- route 1: adaptive quadrature ----------
 
 
@@ -187,8 +178,8 @@ def eval_quadrature(
     """Z_b(z) by adaptive panels over the full two-sided support."""
     qc = qc or QuadratureConfig()
     z = complex(z)
-    g, g_dd = _weights(zspec)
-    U = qc.truncation_radius or _radius(zspec, z.imag, pc)
+    g, g_dd = zspec.weights()
+    U = qc.truncation_radius or zspec.radius(z.imag, pc)
 
     def f(u):
         return np.exp(1j * z * u) * g(u)
@@ -224,18 +215,12 @@ def eval_quadrature(
 # ---------- route 2: moment series ----------
 
 
-_MOMENT_CACHE: dict[tuple, object] = {}
+_MAX_MOMENT_TABLES = 64
 
 
-def _cached_moments(zspec: ZSpec, k: int, qc):
-    from .rho import moments as rho_moments
-    from .numerics.quadrature import PrecisionConfig as _PC
-
-    key = (zspec.spec.params, zspec.b, k)
-    if key not in _MOMENT_CACHE:
-        _MOMENT_CACHE[key] = rho_moments(zspec.spec, k, b=zspec.b, qc=qc,
-                                         pc=_PC("extended"))
-    return _MOMENT_CACHE[key]
+@functools.lru_cache(maxsize=_MAX_MOMENT_TABLES)
+def _cached_moments(spec: RhoSpec, b: float, k: int, qc: QuadratureConfig):
+    return rho_moments(spec, k, b=b, qc=qc, pc=PrecisionConfig("extended"))
 
 
 def _sum_series(z: float, mo, extended: bool):
@@ -289,18 +274,20 @@ def eval_series(
     """Z_b(z) = sum_j (-1)^j z^{2j} m_{2j} / (2j)! from even moments.
 
     Moments are always integrated in extended precision (and cached per
-    spec); the summation runs in the requested mode.  SeriesDivergence
+    spec, b, count and quadrature config); the summation runs in the
+    requested mode.  SeriesDivergence
     reports fatal cancellation at the requested precision rather than
     returning noise; NonConvergence means the moment budget ran out while
     terms were still large, which is the series route's honest domain
     boundary at large z.
     """
     z = float(z)
+    qc = qc or QuadratureConfig()
     extended = pc.mode == "extended"
     ks = [k_max] if k_max is not None else [80, 160]
     value = err = None
     for k in ks:
-        mo = _cached_moments(zspec, k, qc)
+        mo = _cached_moments(zspec.spec, zspec.b, k, qc)
         value, err, status = _sum_series(z, mo, extended)
         if status in ("converged", "truncated"):
             break
@@ -393,8 +380,8 @@ class _ScanRule:
     def __init__(self, zspec: ZSpec, z_max: float, pc: PrecisionConfig):
         from .numerics.quadrature import gauss_nodes
 
-        g, g_dd = _weights(zspec)
-        U = _radius(zspec, 0.0, pc)
+        g, g_dd = zspec.weights()
+        U = zspec.radius(0.0, pc)
         width = min(math.pi / (2.0 * max(1.0, z_max)), U / 8.0)
         n_panels = int(math.ceil(2.0 * U / width))
         edges = np.linspace(-U, U, n_panels + 1)
@@ -467,15 +454,11 @@ class _ScanRule:
             return self._dd_value(z, self.u32_dd, self.w32_dd)
         return float((np.exp(1j * z * self.u32) @ self.w32).real)
 
-    def deriv_one(self, z: float) -> float:
-        # d/dz int e^{izu} g = int (iu) e^{izu} g; real part is -int u sin(zu) g
-        return float(-(np.sin(z * self.u32) * self.u32) @ self.w32)
-
 
 def _spacing_estimate(zspec: ZSpec, pc: PrecisionConfig) -> float:
     # transforms of measures spread over [-U, U] have zeros no denser than
     # about pi / U
-    U = _radius(zspec, 0.0, pc)
+    U = zspec.radius(0.0, pc)
     return math.pi / U
 
 
@@ -497,14 +480,19 @@ def find_real_zeros(
     adaptive Newton steps, then accepted only if the final residual is
     within a hundred times the evaluation error.
     """
-    if z_max <= 0.0:
-        raise InvalidSpec("z_max must be positive")
+    if not (0.0 < z_max < math.inf):
+        raise InvalidSpec("z_max must be finite and positive")
+    if step is not None and not (0.0 < step < math.inf):
+        raise InvalidSpec("step must be finite and positive")
     qc = qc or QuadratureConfig()
     spacing = _spacing_estimate(zspec, pc)
-    h = step or spacing / 6.0
+    h = spacing / 6.0 if step is None else step
     rule = _ScanRule(zspec, z_max, pc)
     zs = np.arange(0.0, z_max + h, h)
     zs = zs[zs <= z_max + 1e-12]
+    if zs[-1] < z_max:
+        # close the last partial step so a zero in it is still bracketed
+        zs = np.append(zs, z_max)
     vals, errs = rule.eval_grid(zs)
 
     # local amplitude envelope over a one-spacing window
@@ -580,8 +568,8 @@ def find_real_zeros(
 
 def _deriv_quadrature(zspec, z: float, qc=None, pc=NATIVE) -> float:
     qc = qc or QuadratureConfig()
-    g, g_dd = _weights(zspec)
-    U = qc.truncation_radius or _radius(zspec, 0.0, pc)
+    g, g_dd = zspec.weights()
+    U = qc.truncation_radius or zspec.radius(0.0, pc)
 
     def f(u):
         return 1j * u * np.exp(1j * z * u) * g(u)

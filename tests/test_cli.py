@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from zlab.cli import main
-from zlab.ztransform import RealityReport
+from zlab.ztransform import RealityReport, ZeroTable
 
 GAUSS = '{"d": 0.5}'
 C1 = '{"coeffs": [1.0]}'
@@ -342,6 +342,20 @@ def test_xi_zeros_first_zero_and_cache(tmp_path, capsys):
     assert "cache hit" in capsys.readouterr().out
 
 
+def test_xi_zeros_mismatch_exits_4_fresh_and_cached(tmp_path, monkeypatch,
+                                                   capsys):
+    import zlab.cli as cli
+    bad = ZeroTable(b=0.0, z_max=16.0, step=0.1, mode="native",
+                    zeros=[], noise_regions=[],
+                    notes=["winding count on [0, 16] x [-2, 2]: "
+                           "1 vs 0 real zero(s) (MISMATCH)"])
+    monkeypatch.setattr(cli, "xi_zeros", lambda *a, **k: bad)
+    argv = ["xi-zeros", "--zmax", "16"]
+    assert run(tmp_path, *argv) == 4
+    assert run(tmp_path, *argv) == 4
+    assert "cache hit" in capsys.readouterr().out
+
+
 def test_xi_flow_moves_first_zero_up(tmp_path):
     assert run(tmp_path, "xi-flow", "--b-grid", "0,0.25",
                "--zmax", "16") == 0
@@ -381,6 +395,21 @@ def test_inadmissible_measure_rejected_before_transform(tmp_path):
     assert run(tmp_path, "rho-mass", "--params", '{"coeffs": [-1.0]}') == 1
     assert run(tmp_path, "z-zeros", "--params", '{"coeffs": [-1.0]}',
                "--zmax", "4") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["z-zeros", "--params", C1, "--zmax", "nan"],
+    ["z-zeros", "--params", C1, "--zmax", "inf"],
+    ["z-zeros", "--params", C1, "--zmax", "8", "--step", "0"],
+    ["z-zeros", "--params", C1, "--zmax", "8", "--step", "-1"],
+    ["z-zeros", "--params", C1, "--zmax", "8", "--step", "nan"],
+    ["z-verify", "--params", C1, "--zmax", "nan"],
+    ["z-verify", "--params", C1, "--zmax", "inf"],
+])
+def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bad_grid_and_complex_syntax_exit_1(tmp_path):

@@ -26,6 +26,11 @@ def test_config_validation():
         QuadratureConfig(panel_order=2)
     with pytest.raises(InvalidSpec):
         QuadratureConfig(abs_tol=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidSpec):
+            QuadratureConfig(abs_tol=bad)
+        with pytest.raises(InvalidSpec):
+            QuadratureConfig(rel_tol=bad)
     with pytest.raises(InvalidSpec):
         PrecisionConfig(mode="quadruple")
     with pytest.raises(InvalidSpec):

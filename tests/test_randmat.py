@@ -1,7 +1,8 @@
-"""Ensemble sampling, in-repo spectra, product law, spacing statistics.
+"""Ensemble sampling, spectra, product law, spacing statistics.
 
-numpy.linalg.eigvalsh appears only as a cross-check oracle; the package
-path never calls it.
+The package takes spectra from numpy.linalg.eigvalsh; the tests pin them
+by closed forms, trace identities, unitary invariance and a direct
+eigvalsh call on the raw array.
 """
 
 import math
@@ -9,12 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from zlab.errors import InsufficientData, InvalidSpec
+from zlab.errors import InsufficientData, InvalidSpec, NonConvergence
 from zlab.numerics.quadrature import EXTENDED
 from zlab.randmat import (
     HermitianMatrix,
     SpectralSample,
-    _tridiagonalize,
     compare_zero_spacings,
     diag_matrix,
     eigenvalues,
@@ -40,6 +40,8 @@ def test_hermitian_validation():
         HermitianMatrix(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
     with pytest.raises(InvalidSpec):
         HermitianMatrix(np.array([[1j]], dtype=complex))
+    with pytest.raises(InvalidSpec):
+        HermitianMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
 
 
 def test_helper_constructors():
@@ -102,14 +104,15 @@ def test_trace_identities_random_sample():
         < 1e-8 * 50 * scale * scale
 
 
-def test_tridiagonal_similarity_preserves_spectrum():
-    h = sample_gue(24, 5)
-    d, e = _tridiagonalize(h.entries)
-    assert d.dtype == float and e.dtype == float
-    t = np.diag(d).astype(complex) + np.diag(e, 1) + np.diag(e, -1)
-    lam_t = eigenvalues(HermitianMatrix(t)).eigenvalues
-    lam_h = eigenvalues(h).eigenvalues
-    assert np.max(np.abs(np.array(lam_t) - np.array(lam_h))) < 1e-10
+def test_trace_identity_failure_raises(monkeypatch):
+    h = sample_gue(6, 21)
+    true = np.linalg.eigvalsh(h.entries)
+    shifted = true + 1e-3  # breaks the sum
+    spread = true + 1e-3 * np.array([-1, 0, 0, 0, 0, 1])  # keeps the sum
+    for bad in (shifted, spread):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, bad=bad: bad)
+        with pytest.raises(NonConvergence):
+            eigenvalues(h)
 
 
 def test_unitary_invariance_of_spectrum():

@@ -33,8 +33,11 @@ from zlab.xi import (
 from zlab.ztransform import Rect, zero_table_to_csv, zero_table_from_csv
 
 F0 = 0.8933938009342468881739693
+# Odlyzko's ordinates of the first ten zeta zeros (all those below 50)
 ZEROS = (14.134725141734694, 21.022039638771555, 25.010857580145689,
-         30.424876125859513, 32.935061587739190, 37.586178158825671)
+         30.424876125859513, 32.935061587739190, 37.586178158825671,
+         40.918719012147495, 43.327073280914999, 48.005150881167159,
+         49.773832477672302)
 XI_REFS = {
     0.0: 0.49712077818831410991,
     2.0: 0.45309985831293611130,
@@ -231,6 +234,15 @@ def test_xi_zeros_native_depth():
     for zr, ref in zip(table.zeros, ZEROS):
         assert abs(zr.z - ref) < 1e-6
     assert any("match" in n for n in table.notes)
+
+
+def test_xi_zeros_full_window_closes_last_step():
+    # 49.7738 lies between the last whole scan step and z_max = 50
+    table = xi_zeros(50.0)
+    assert len(table.zeros) == 10
+    for zr, ref in zip(table.zeros, ZEROS):
+        assert abs(zr.z - ref) < 1e-9
+    assert any("10 vs 10" in n and "(match)" in n for n in table.notes)
 
 
 def test_xi_zeros_extended_mode():

@@ -20,7 +20,7 @@ from zlab.errors import (
     PrecisionExhausted,
     StepTooCoarseWarning,
 )
-from zlab.numerics.quadrature import EXTENDED, NATIVE
+from zlab.numerics.quadrature import EXTENDED, NATIVE, QuadratureConfig
 from zlab.rho import RhoSpec, gue_spec
 from zlab.schoenberg import SchoenbergParams
 from zlab.ztransform import (
@@ -113,6 +113,16 @@ def test_series_matches_quadrature():
             a = eval_series(zspec, z, pc=EXTENDED).value.real
             b = eval_quadrature(zspec, z, pc=EXTENDED).value.real
             assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_series_moments_follow_the_quadrature_config():
+    # a default call first: its moments must not be reused for a config
+    # that integrates over a different window
+    clipped = QuadratureConfig(truncation_radius=1.0)
+    eval_series(GUE, 1.0, pc=EXTENDED)
+    a = eval_series(GUE, 1.0, qc=clipped, pc=EXTENDED).value.real
+    b = eval_quadrature(GUE, 1.0, qc=clipped, pc=EXTENDED).value.real
+    assert abs(a - b) <= 1e-12 * abs(b)
 
 
 def test_series_refuses_out_of_reach():
