@@ -382,6 +382,8 @@ def check_pf_minors(
     """
     if not 1 <= order <= 5:
         raise InvalidSpec("minor order must be in 1..5")
+    if not 0.0 <= tol < math.inf:  # NaN would pass every `norm < -tol`
+        raise InvalidSpec("tol must be finite and nonnegative")
     if grid_size < order:
         raise InvalidSpec("grid_size must be at least the minor order")
     window = window or source.suggest_window()
@@ -501,6 +503,8 @@ def check_derivative_minors(
     """
     if not 1 <= order <= 5:
         raise InvalidSpec("minor order must be in 1..5")
+    if not 0.0 <= tol < math.inf:
+        raise InvalidSpec("tol must be finite and nonnegative")
     xs = np.sort(np.asarray(x_points, dtype=float))
     if xs.size < order:
         raise InvalidSpec("need at least `order` x points")

@@ -188,6 +188,8 @@ def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
     """
     if x.n != n:
         raise InvalidSpec("test matrix size must match n")
+    if not threads >= 1:
+        raise InvalidSpec("threads must be at least 1")
     if samples < 2:
         raise InsufficientData("need at least 2 samples")
     xa = np.asarray(x.entries)

@@ -10,12 +10,13 @@ cross-check each other: adaptive quadrature (any spec), the moment series
 sum (-1)^j z^{2j} m_{2j} / (2j)! (any spec, moderate z), and a closed
 hypergeometric form for the quartic-weight member (b = 0 only).
 
-Zero machinery: a vectorized composite-rule scan locates sign changes on
-[0, z_max], classifies sub-noise stretches honestly instead of inventing
-zeros in decayed tails, then bisects and Newton-polishes each credible
-candidate with full adaptive evaluations.  A rectangle count walks the
-boundary argument, and verify_reality compares the two on the largest
-window the arithmetic can actually resolve.
+Zero machinery: a trapezoid-rule scan on a power-of-two u grid (one rule
+per precision mode, shared by the z grid and bisection) locates sign
+changes on [0, z_max], classifies sub-noise stretches honestly instead of
+inventing zeros in decayed tails, then bisects and Newton-polishes each
+credible candidate with full adaptive evaluations.  A rectangle count
+walks the boundary argument, and verify_reality compares the two on the
+largest window the arithmetic can actually resolve.
 """
 
 from __future__ import annotations
@@ -366,93 +367,71 @@ def eval_gue_hypergeom(z: float, pc: PrecisionConfig = NATIVE) -> ZValue:
                   value_dd=DDComplex(val_dd, DD(0.0, 0.0)) if extended else None)
 
 
-# ---------- composite scan rule ----------
+# ---------- scan rule ----------
 
 
 class _ScanRule:
-    """Fixed composite Gauss rule on [-U, U] shared by every scan z.
+    """Trapezoid rule on the half line u = k h, k = 0..ceil(U/h).
 
-    Panel width is capped at pi / (2 z_max) so the most oscillatory
-    integrand on the scan is still resolved; the order-16 versus order-32
-    difference provides a per-z error estimate.
+    The weights are even, analytic in a strip and Gaussian-decaying, so the
+    rule converges geometrically; its error is the aliased transform
+    sum_{j != 0} Z(z + 2 pi j / h) (Trefethen & Weideman, SIAM Rev. 2014).
+    h is the power of two at or below min(pi / (4 z_max), U / 128), which
+    puts the nearest alias of the step-2h rule 3 z_max past the window and
+    past the transform's decay, and makes the nodes and the phase z u
+    exact.  The grid and bisection share the rule; the error estimate per z
+    is |T(h) - T(2h)| + eps * sum |w|, T(2h) summed over the even nodes.
     """
 
     def __init__(self, zspec: ZSpec, z_max: float, pc: PrecisionConfig):
-        from .numerics.quadrature import gauss_nodes
-
         g, g_dd = zspec.weights()
         U = zspec.radius(0.0, pc)
-        width = min(math.pi / (2.0 * max(1.0, z_max)), U / 8.0)
-        n_panels = int(math.ceil(2.0 * U / width))
-        edges = np.linspace(-U, U, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        xs16, ws16 = gauss_nodes(16)
-        xs32, ws32 = gauss_nodes(32)
-        self.u16 = (mid[:, None] + half[:, None] * xs16[None, :]).ravel()
-        self.w16 = (half[:, None] * ws16[None, :]).ravel() * g(self.u16)
-        self.u32 = (mid[:, None] + half[:, None] * xs32[None, :]).ravel()
-        self.w32 = (half[:, None] * ws32[None, :]).ravel() * g(self.u32)
-        self.abs_integral = float(np.sum(np.abs(self.w32)))
-        self.U = U
-        # extended mode rebuilds the rule with dd abscissae and weights:
-        # float64 node positions perturb the rule by ~ z * eps * absint,
-        # which would otherwise cap the scan window far above the dd floor
+        h = 2.0 ** math.floor(math.log2(
+            min(math.pi / (4.0 * max(1.0, z_max)), U / 128.0)))
+        self.u = h * np.arange(int(math.ceil(U / h)) + 1)
+        # the even weight folded onto u >= 0: w_0 = h g(0), w_k = 2h g(u_k)
+        scale = np.full(self.u.size, 2.0 * h)
+        scale[0] = h
+        self.w = scale * g(self.u)
         self.extended = pc.mode == "extended"
+        self.floor = ((_DD_EPS if self.extended else _EPS)
+                      * float(np.sum(np.abs(self.w))))
         if self.extended:
-            from .numerics.quadrature import gauss_nodes_dd
+            self.u_dd = dd.from_array(self.u)
+            self.w_dd = g_dd(self.u_dd).scale2(scale)
 
-            def build(order):
-                xd, wd = gauss_nodes_dd(order)
-                x_t = DD(np.tile(xd.hi, n_panels), np.tile(xd.lo, n_panels))
-                w_t = DD(np.tile(wd.hi, n_panels), np.tile(wd.lo, n_panels))
-                # midpoints and half-widths in dd so adjacent panels tile
-                # the interval exactly; float rounding here would leave
-                # edge gaps that integrate to a low-frequency bias far
-                # above the dd floor
-                lo_t = np.repeat(edges[:-1], order)
-                hi_t = np.repeat(edges[1:], order)
-                mid_dd = (DD(lo_t, np.zeros_like(lo_t)) + hi_t).scale2(0.5)
-                half_dd = (DD(hi_t, np.zeros_like(hi_t)) - lo_t).scale2(0.5)
-                u_dd = x_t * half_dd + mid_dd
-                return u_dd, w_t * half_dd * g_dd(u_dd)
+    def _native_terms(self, zs: np.ndarray) -> np.ndarray:
+        # z u = p + e exactly, and cos(p + e) = cos p - e sin p to O(e^2)
+        p, e = dd.two_prod(zs[:, None], self.u)
+        return self.w * (np.cos(p) - e * np.sin(p))
 
-            self.u16_dd, self.w16_dd = build(16)
-            self.u32_dd, self.w32_dd = build(32)
-
-    def _dd_value(self, z: float, u_dd: DD, w_dd: DD) -> float:
-        # even weights on symmetric nodes: the sine part cancels exactly,
-        # so the real scan only needs cos(z u)
-        return dd.reduce_sum(w_dd * dd.cos(u_dd * z)).to_float()
+    def _dd_terms(self, z: float) -> DD:
+        return self.w_dd * dd.cos(self.u_dd * z)
 
     def eval_grid(self, zs: np.ndarray):
-        """values (order 32), error estimates (|16 - 32|), both real parts."""
-        n = zs.size
-        v16 = np.empty(n)
-        v32 = np.empty(n)
-        im32 = np.zeros(n)
+        """T(h) at each z and its error estimate |T(h) - T(2h)| + floor."""
+        vals = np.empty(zs.size)
+        diffs = np.empty(zs.size)
         if self.extended:
             for i, z in enumerate(zs):
-                v16[i] = self._dd_value(float(z), self.u16_dd, self.w16_dd)
-                v32[i] = self._dd_value(float(z), self.u32_dd, self.w32_dd)
-            err = np.abs(v16 - v32) + _DD_EPS * self.abs_integral
-            return v32, err
-        chunk = max(1, int(4_000_000 // max(1, self.u32.size)))
-        for s in range(0, n, chunk):
-            zc = zs[s:s + chunk]
-            e16 = np.exp(1j * np.outer(zc, self.u16))
-            v16[s:s + chunk] = (e16 @ self.w16).real
-            e32 = np.exp(1j * np.outer(zc, self.u32))
-            acc = e32 @ self.w32
-            v32[s:s + chunk] = acc.real
-            im32[s:s + chunk] = acc.imag
-        err = np.abs(v16 - v32) + _EPS * self.abs_integral + np.abs(im32)
-        return v32, err
+                t = self._dd_terms(float(z))
+                full = dd.reduce_sum(t)
+                half = dd.reduce_sum(DD(t.hi[::2], t.lo[::2])).scale2(2.0)
+                vals[i] = full.to_float()
+                diffs[i] = (full - half).to_float()
+        else:
+            chunk = max(1, 1_000_000 // self.u.size)
+            for s in range(0, zs.size, chunk):
+                t = self._native_terms(zs[s:s + chunk])
+                full = t.sum(axis=1)
+                vals[s:s + chunk] = full
+                diffs[s:s + chunk] = full - 2.0 * t[:, ::2].sum(axis=1)
+        return vals, np.abs(diffs) + self.floor
 
     def eval_one(self, z: float) -> float:
         if self.extended:
-            return self._dd_value(z, self.u32_dd, self.w32_dd)
-        return float((np.exp(1j * z * self.u32) @ self.w32).real)
+            return dd.reduce_sum(self._dd_terms(z)).to_float()
+        return float(self._native_terms(np.array([z])).sum())
 
 
 def _spacing_estimate(zspec: ZSpec, pc: PrecisionConfig) -> float:
@@ -476,7 +455,7 @@ def find_real_zeros(
 
     Sign changes whose flanking magnitudes sit below ten times the local
     error estimate are recorded as noise regions, not zeros; candidates
-    above the floor are bisected on the composite rule and polished with
+    above the floor are bisected on the scan rule and polished with
     adaptive Newton steps, then accepted only if the final residual is
     within a hundred times the evaluation error.
     """
@@ -690,6 +669,10 @@ def verify_reality(
     credible there, so 'no zeros' in the report window remains an honest
     statement rather than a claim about invisible territory.
     """
+    if not (0.0 < delta < math.inf):
+        raise InvalidSpec("delta must be finite and positive")
+    if not (0.0 <= x_min < z_max):
+        raise InvalidSpec("x_min must satisfy 0 <= x_min < z_max")
     qc = qc or QuadratureConfig()
     table = find_real_zeros(zspec, z_max, qc=qc, pc=pc)
     spacing = _spacing_estimate(zspec, pc)

@@ -188,7 +188,7 @@ def test_tp_check_gaussian_passes(tmp_path):
     assert inline["violations"] == 0
 
 
-def test_tp_check_bimodal_violation_exits_3(tmp_path):
+def test_tp_check_bimodal_violation_exits_3(tmp_path, capsys):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
     w.writerow(["a", "f"])
@@ -198,11 +198,15 @@ def test_tp_check_bimodal_violation_exits_3(tmp_path):
                                   + math.exp(-4 * (a - 2) ** 2))])
     dens = tmp_path / "bimodal.csv"
     dens.write_text(buf.getvalue())
-    assert run(tmp_path, "tp-check", "--density", str(dens),
-               "--grid=-3.5:3.5:10", "--order", "2") == 3
+    argv = ["tp-check", "--density", str(dens), "--grid=-3.5:3.5:10",
+            "--order", "2"]
+    assert run(tmp_path, *argv) == 3
     inline = envelope(tmp_path, "tp-check")["payload"]["inline"]
     assert inline["passed"] is False
     assert inline["min_minor_normalized"] < -1e-6
+    # a NaN tolerance would pass every sign test and report no violation
+    assert run(tmp_path / "nan", *argv, "--tol", "nan") == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_tp_check_requires_exactly_one_source(tmp_path):
@@ -405,8 +409,17 @@ def test_inadmissible_measure_rejected_before_transform(tmp_path):
     ["z-zeros", "--params", C1, "--zmax", "8", "--step", "nan"],
     ["z-verify", "--params", C1, "--zmax", "nan"],
     ["z-verify", "--params", C1, "--zmax", "inf"],
+    ["z-verify", "--params", C1, "--zmax", "5", "--height", "nan"],
+    ["z-verify", "--params", C1, "--zmax", "5", "--x-min", "10"],
+    ["gue-char", "--n", "1", "--X", "{x}", "--samples", "100",
+     "--seed", "5", "--threads", "0"],
+    ["gue-char", "--n", "1", "--X", "{x}", "--samples", "100",
+     "--seed", "5", "--threads", "-3"],
 ])
 def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
+    xfile = tmp_path / "x.csv"
+    xfile.write_text("c0\r\n(1+0j)\r\n")
+    argv = [str(xfile) if a == "{x}" else a for a in argv]
     assert run(tmp_path, *argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

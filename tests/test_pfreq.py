@@ -214,6 +214,12 @@ def test_minor_scan_validation():
         check_pf_minors(CallableDensity(phi), order=2)  # no window anywhere
     with pytest.raises(InvalidSpec):
         check_derivative_minors(src, (0.0,), order=2)  # too few points
+    # a NaN tolerance would pass every sign test `norm < -tol`
+    for tol in (math.nan, math.inf, -5.0):
+        with pytest.raises(InvalidSpec):
+            check_pf_minors(src, order=2, grid_size=5, tol=tol)
+        with pytest.raises(InvalidSpec):
+            check_derivative_minors(src, (-1.0, 0.0, 1.0), order=2, tol=tol)
 
 
 # ---------- tabulated sources ----------

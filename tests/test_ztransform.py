@@ -23,9 +23,11 @@ from zlab.errors import (
 from zlab.numerics.quadrature import EXTENDED, NATIVE, QuadratureConfig
 from zlab.rho import RhoSpec, gue_spec
 from zlab.schoenberg import SchoenbergParams
+from zlab.xi import XiConfig, _XiSource, xi_eval_err
 from zlab.ztransform import (
     Rect,
     ZSpec,
+    _ScanRule,
     count_zeros_rect,
     eval_gue_hypergeom,
     eval_quadrature,
@@ -237,6 +239,48 @@ def test_scan_classifies_noise_not_zeros():
     assert len(table.noise_regions) == 1
     lo, hi = table.noise_regions[0]
     assert 7.0 < lo < 10.0 and hi > 19.0
+
+
+def test_native_deep_tail_table():
+    # the last zero the native scan resolves sits just above the floor;
+    # a float-rounded phase z * u loses it to the residual check
+    table = find_real_zeros(GUE, 50.0)
+    assert len(table.zeros) == 18
+    assert abs(table.zeros[-1].z - 33.42361481341606) < 1e-9
+    assert table.noise_regions[0][0] >= 33.9
+
+
+@pytest.mark.parametrize("weight", [
+    "gauss", "quartic", "c2_b1", "omega_coeff_m2_b1", "xi"])
+def test_scan_rule_within_its_error_of_quadrature(weight):
+    # the scan's values and error estimates against an independent
+    # extended-precision adaptive quadrature, in both modes
+    if weight == "xi":
+        zspec, z_max = _XiSource(0.0, XiConfig()), 40.0
+        xi_cfg = XiConfig(pc=EXTENDED)
+
+        def reference(z):
+            value, err = xi_eval_err(z, cfg=xi_cfg)
+            return value.real, err
+    else:
+        params = {"gauss": SchoenbergParams(omega=0.5),
+                  "c2_b1": SchoenbergParams(coeffs=(2.0,)),
+                  "omega_coeff_m2_b1": SchoenbergParams(
+                      omega=0.9, coeffs=(0.73,), m=2)}
+        zspec = (GUE if weight == "quartic" else
+                 ZSpec(RhoSpec(params[weight]),
+                       1.0 if weight.endswith("b1") else 0.0))
+        z_max = 20.0
+
+        def reference(z):
+            res = eval_quadrature(zspec, z, pc=EXTENDED)
+            return res.value.real, res.error
+    zs = np.linspace(0.0, z_max, 20)
+    refs = [reference(float(z)) for z in zs]
+    for pc in (NATIVE, EXTENDED):
+        vals, errs = _ScanRule(zspec, z_max, pc).eval_grid(zs)
+        for z, v, e, (ref, ref_err) in zip(zs, vals, errs, refs):
+            assert abs(v - ref) <= e + ref_err, (pc.mode, z, v, ref, e)
 
 
 def test_coarse_step_warns_but_still_finds():
