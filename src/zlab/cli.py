@@ -367,7 +367,7 @@ def _cmd_z_zeros(args, qc, pc, outdir):
               "abs_tol": qc.abs_tol, "rel_tol": qc.rel_tol}
 
     def compute():
-        return find_real_zeros(ZSpec(spec, args.b), args.zmax, qc=qc, pc=pc,
+        return find_real_zeros(ZSpec(spec, args.b), args.zmax, pc=pc,
                                step=args.step)
 
     return _zero_table_run(config, compute, args, outdir)
@@ -414,7 +414,7 @@ def _flow_summary(flow) -> list[str]:
 def _cmd_z_flow(args, qc, pc, outdir):
     spec = _validated_spec(_load_params(args.params))
     bs = _parse_float_list(args.b_grid)
-    flow = flow_zeros(ZSpec(spec, 0.0), bs, args.zmax, qc=qc, pc=pc)
+    flow = flow_zeros(ZSpec(spec, 0.0), bs, args.zmax, pc=pc)
     config = {"command": "z-flow", "params": params_to_dict(spec.params),
               "b_grid": bs, "z_max": args.zmax,
               "precision": args.precision,
@@ -579,10 +579,14 @@ def _build_parser() -> _Parser:
                         help="directory for envelopes and payload files")
     common.add_argument("--precision", choices=("native", "dd"),
                         default="native")
+    # the zero tables scan, bracket and polish on their own trapezoid rule
+    scope = ("; governs adaptive quadrature in z-eval, rho-mass, pf-eval, "
+             "tp-check and the walk and edge probes of z-verify/xi-zeros, "
+             "not the z-zeros/z-flow/xi-flow tables")
     common.add_argument("--abs-tol", type=float, default=None,
-                        help="quadrature absolute tolerance override")
+                        help="quadrature absolute tolerance override" + scope)
     common.add_argument("--rel-tol", type=float, default=None,
-                        help="quadrature relative tolerance override")
+                        help="quadrature relative tolerance override" + scope)
     common.add_argument("--force", action="store_true",
                         help="recompute even on a cache hit")
     common.add_argument("--threads", type=int, default=1)

@@ -17,6 +17,7 @@ an honest overflow report.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -115,6 +116,9 @@ def log_density(spec: RhoSpec, u):
     return out
 
 
+# pure in all its arguments; the scan, walk and probes ask for the same
+# radii again and again
+@functools.lru_cache(maxsize=1024)
 def support_radius(
     spec: RhoSpec,
     log_tol: float = _LOG_TINY / 4,

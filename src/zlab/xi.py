@@ -279,6 +279,10 @@ class _XiSource:
     b: float
     cfg: XiConfig
 
+    def __post_init__(self):
+        if not math.isfinite(self.b):
+            raise InvalidSpec("b must be finite")
+
     def weights(self):
         n = _term_count(0.0, self.cfg.term_tail_tol)
         n_dd = _term_count(0.0, self.cfg.term_tail_tol * 2.0**-53)
@@ -352,8 +356,7 @@ def xi_flow(b_grid, z_max: float, cfg: XiConfig | None = None) -> FlowResult:
     cfg = cfg or XiConfig()
     if not (0.0 < z_max <= _Z_MAX_CAP):
         raise InvalidSpec(f"z_max must lie in (0, {_Z_MAX_CAP:g}]")
-    return flow_zeros(_XiSource(0.0, cfg), b_grid, z_max,
-                      qc=cfg.qc, pc=cfg.pc)
+    return flow_zeros(_XiSource(0.0, cfg), b_grid, z_max, pc=cfg.pc)
 
 
 # ---------- independent oracle: eta series and the Gamma factor ----------

@@ -11,12 +11,12 @@ sum (-1)^j z^{2j} m_{2j} / (2j)! (any spec, moderate z), and a closed
 hypergeometric form for the quartic-weight member (b = 0 only).
 
 Zero machinery: a trapezoid-rule scan on a power-of-two u grid (one rule
-per precision mode, shared by the z grid and bisection) locates sign
-changes on [0, z_max], classifies sub-noise stretches honestly instead of
-inventing zeros in decayed tails, then bisects and Newton-polishes each
-credible candidate with full adaptive evaluations.  A rectangle count
-walks the boundary argument, and verify_reality compares the two on the
-largest window the arithmetic can actually resolve.
+per precision mode) locates sign changes on [0, z_max], classifies
+sub-noise stretches honestly instead of inventing zeros in decayed tails,
+then bisects and Newton-polishes each credible candidate on the same rule,
+the polish in double-double.  A rectangle count walks the boundary
+argument by adaptive quadrature, sharing no evaluator with the scan, and
+verify_reality compares the two on the largest resolvable window.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .rho import moments as rho_moments
 
 _EPS = float(np.finfo(float).eps)
 _DD_EPS = 2.0**-104
+_MAX_GRID = 1 << 20  # most points in a scan's z grid or its rule's u grid
 
 
 @dataclass(frozen=True)
@@ -379,26 +380,34 @@ class _ScanRule:
     h is the power of two at or below min(pi / (4 z_max), U / 128), which
     puts the nearest alias of the step-2h rule 3 z_max past the window and
     past the transform's decay, and makes the nodes and the phase z u
-    exact.  The grid and bisection share the rule; the error estimate per z
-    is |T(h) - T(2h)| + eps * sum |w|, T(2h) summed over the even nodes.
+    exact.  The grid, bisection and polish share the rule; per z the error
+    estimate is |T(h) - T(2h)| + eps * sum |w|, T(2h) over the even nodes.
     """
 
     def __init__(self, zspec: ZSpec, z_max: float, pc: PrecisionConfig):
-        g, g_dd = zspec.weights()
+        g, self._g_dd = zspec.weights()
         U = zspec.radius(0.0, pc)
-        h = 2.0 ** math.floor(math.log2(
-            min(math.pi / (4.0 * max(1.0, z_max)), U / 128.0)))
+        x = min(math.pi / (4.0 * max(1.0, z_max)), U / 128.0)
+        # h > x / 2, so the rule has fewer than 2 U / x + 2 nodes
+        if not 2.0 * U < x * (_MAX_GRID - 2):
+            raise InvalidSpec(f"the scan rule would pass {_MAX_GRID} nodes")
+        h = 2.0 ** math.floor(math.log2(x))
         self.u = h * np.arange(int(math.ceil(U / h)) + 1)
         # the even weight folded onto u >= 0: w_0 = h g(0), w_k = 2h g(u_k)
-        scale = np.full(self.u.size, 2.0 * h)
-        scale[0] = h
-        self.w = scale * g(self.u)
+        self._scale = np.full(self.u.size, 2.0 * h)
+        self._scale[0] = h
+        self.w = self._scale * g(self.u)
         self.extended = pc.mode == "extended"
-        self.floor = ((_DD_EPS if self.extended else _EPS)
-                      * float(np.sum(np.abs(self.w))))
-        if self.extended:
-            self.u_dd = dd.from_array(self.u)
-            self.w_dd = g_dd(self.u_dd).scale2(scale)
+        self.abs_w = float(np.sum(np.abs(self.w)))
+        self.floor = (_DD_EPS if self.extended else _EPS) * self.abs_w
+
+    @functools.cached_property
+    def _dd_nodes(self) -> tuple[DD, DD, DD]:
+        # (u, w, w u) in dd; built on first use, so a native table pays for
+        # them only when it has a candidate to polish
+        u_dd = dd.from_array(self.u)
+        w_dd = self._g_dd(u_dd).scale2(self._scale)
+        return u_dd, w_dd, w_dd * self.u
 
     def _native_terms(self, zs: np.ndarray) -> np.ndarray:
         # z u = p + e exactly, and cos(p + e) = cos p - e sin p to O(e^2)
@@ -406,7 +415,15 @@ class _ScanRule:
         return self.w * (np.cos(p) - e * np.sin(p))
 
     def _dd_terms(self, z: float) -> DD:
-        return self.w_dd * dd.cos(self.u_dd * z)
+        u_dd, w_dd, _ = self._dd_nodes
+        return w_dd * dd.cos(u_dd * z)
+
+    @staticmethod
+    def _trapezoid(t: DD) -> tuple[float, float]:
+        """T(h) and T(h) - T(2h) from the dd terms of one z."""
+        full = dd.reduce_sum(t)
+        half = dd.reduce_sum(DD(t.hi[::2], t.lo[::2])).scale2(2.0)
+        return full.to_float(), (full - half).to_float()
 
     def eval_grid(self, zs: np.ndarray):
         """T(h) at each z and its error estimate |T(h) - T(2h)| + floor."""
@@ -414,11 +431,7 @@ class _ScanRule:
         diffs = np.empty(zs.size)
         if self.extended:
             for i, z in enumerate(zs):
-                t = self._dd_terms(float(z))
-                full = dd.reduce_sum(t)
-                half = dd.reduce_sum(DD(t.hi[::2], t.lo[::2])).scale2(2.0)
-                vals[i] = full.to_float()
-                diffs[i] = (full - half).to_float()
+                vals[i], diffs[i] = self._trapezoid(self._dd_terms(float(z)))
         else:
             chunk = max(1, 1_000_000 // self.u.size)
             for s in range(0, zs.size, chunk):
@@ -432,6 +445,15 @@ class _ScanRule:
         if self.extended:
             return dd.reduce_sum(self._dd_terms(z)).to_float()
         return float(self._native_terms(np.array([z])).sum())
+
+    def eval_polish(self, z: float) -> tuple[float, float, float]:
+        """T(z), T'(z) = -sum w u sin(u z) and the dd error estimate of T,
+        from one dd sincos pass whatever the mode."""
+        u_dd, w_dd, wu_dd = self._dd_nodes
+        s, c = dd.sincos(u_dd * z)
+        value, diff = self._trapezoid(w_dd * c)
+        deriv = -dd.reduce_sum(wu_dd * s).to_float()
+        return value, deriv, abs(diff) + _DD_EPS * self.abs_w
 
 
 def _spacing_estimate(zspec: ZSpec, pc: PrecisionConfig) -> float:
@@ -447,7 +469,6 @@ def _spacing_estimate(zspec: ZSpec, pc: PrecisionConfig) -> float:
 def find_real_zeros(
     zspec: ZSpec,
     z_max: float,
-    qc: QuadratureConfig | None = None,
     pc: PrecisionConfig = NATIVE,
     step: float | None = None,
 ) -> ZeroTable:
@@ -455,17 +476,18 @@ def find_real_zeros(
 
     Sign changes whose flanking magnitudes sit below ten times the local
     error estimate are recorded as noise regions, not zeros; candidates
-    above the floor are bisected on the scan rule and polished with
-    adaptive Newton steps, then accepted only if the final residual is
-    within a hundred times the evaluation error.
+    above the floor are bisected on the scan rule and polished by Newton
+    steps on the same rule in double-double, then accepted only if the
+    final residual is within a hundred times the rule's error estimate.
     """
     if not (0.0 < z_max < math.inf):
         raise InvalidSpec("z_max must be finite and positive")
     if step is not None and not (0.0 < step < math.inf):
         raise InvalidSpec("step must be finite and positive")
-    qc = qc or QuadratureConfig()
     spacing = _spacing_estimate(zspec, pc)
     h = spacing / 6.0 if step is None else step
+    if not z_max / h < _MAX_GRID - 2:
+        raise InvalidSpec(f"the scan grid would pass {_MAX_GRID} points")
     rule = _ScanRule(zspec, z_max, pc)
     zs = np.arange(0.0, z_max + h, h)
     zs = zs[zs <= z_max + 1e-12]
@@ -512,24 +534,22 @@ def find_real_zeros(
                 lo = midp
                 flo = fm
         root = 0.5 * (lo + hi)
-        # adaptive Newton polish in the requested mode
+        # Newton polish on the rule in dd, in either mode: near a root a
+        # native value is all cancellation
         for _ in range(2):
-            v = eval_quadrature(zspec, root, qc=qc, pc=pc)
-            dv = _deriv_quadrature(zspec, root, qc=qc, pc=pc)
+            v, dv, _ = rule.eval_polish(root)
             if dv == 0.0:
                 break
-            root -= v.real / dv
+            root -= v / dv
         if zeros and abs(root - zeros[-1].z) < 0.5 * h:
             continue  # Newton drifted back into the previous cell
-        final = eval_quadrature(zspec, root, qc=qc, pc=pc)
-        dfinal = _deriv_quadrature(zspec, root, qc=qc, pc=pc)
+        final, dfinal, err = rule.eval_polish(root)
         # a float root cannot witness a residual below |Z'| * ulp(z_k), so
-        # that term joins the quadrature error in the acceptance threshold
-        tol_res = 1e2 * (final.error
-                         + abs(dfinal) * _EPS * max(1.0, abs(root)))
-        if abs(final.real) <= tol_res:
+        # that term joins the rule's error in the acceptance threshold
+        tol_res = 1e2 * (err + abs(dfinal) * _EPS * max(1.0, abs(root)))
+        if abs(final) <= tol_res:
             zeros.append(Zero(index=len(zeros), z=root,
-                              residual=abs(final.real), derivative=dfinal))
+                              residual=abs(final), derivative=dfinal))
         else:
             rejected += 1
     if rejected:
@@ -543,25 +563,6 @@ def find_real_zeros(
                 StepTooCoarseWarning)
     return ZeroTable(b=zspec.b, z_max=z_max, step=h, mode=mode,
                      zeros=zeros, noise_regions=noise_regions, notes=notes)
-
-
-def _deriv_quadrature(zspec, z: float, qc=None, pc=NATIVE) -> float:
-    qc = qc or QuadratureConfig()
-    g, g_dd = zspec.weights()
-    U = qc.truncation_radius or zspec.radius(0.0, pc)
-
-    def f(u):
-        return 1j * u * np.exp(1j * z * u) * g(u)
-
-    def f_dd(u: DD) -> DDComplex:
-        amp = g_dd(u)
-        zero = DD(np.zeros_like(np.asarray(u.hi, float)),
-                  np.zeros_like(np.asarray(u.hi, float)))
-        return dd.exp_i(u * z) * DDComplex(zero, amp * u)
-
-    res = integrate_adaptive(f, -U, U, qc=qc, pc=pc, f_dd=f_dd,
-                             max_panel_width=math.pi / (2.0 * max(1.0, abs(z))))
-    return res.value.real
 
 
 # ---------- rectangle count by boundary argument ----------
@@ -674,7 +675,7 @@ def verify_reality(
     if not (0.0 <= x_min < z_max):
         raise InvalidSpec("x_min must satisfy 0 <= x_min < z_max")
     qc = qc or QuadratureConfig()
-    table = find_real_zeros(zspec, z_max, qc=qc, pc=pc)
+    table = find_real_zeros(zspec, z_max, pc=pc)
     spacing = _spacing_estimate(zspec, pc)
     # probe with the boundary walk's own precision (no escalation) so the
     # selected window is exactly the region the walk can resolve
@@ -737,7 +738,6 @@ def flow_zeros(
     zspec: ZSpec,
     b_values,
     z_max: float,
-    qc: QuadratureConfig | None = None,
     pc: PrecisionConfig = NATIVE,
 ) -> FlowResult:
     """Track each real zero along an increasing damping schedule.
@@ -748,8 +748,7 @@ def flow_zeros(
     bs = [float(x) for x in b_values]
     if len(bs) < 2 or any(b2 <= b1 for b1, b2 in zip(bs[:-1], bs[1:])):
         raise InvalidSpec("b_values must be strictly increasing, length >= 2")
-    tables = [find_real_zeros(zspec.with_b(b), z_max, qc=qc, pc=pc)
-              for b in bs]
+    tables = [find_real_zeros(zspec.with_b(b), z_max, pc=pc) for b in bs]
     trajectories: list[list[tuple[float, float]]] = [
         [(bs[0], zr.z)] for zr in tables[0].zeros]
     open_traj = list(range(len(trajectories)))

@@ -415,6 +415,17 @@ def test_inadmissible_measure_rejected_before_transform(tmp_path):
      "--seed", "5", "--threads", "0"],
     ["gue-char", "--n", "1", "--X", "{x}", "--samples", "100",
      "--seed", "5", "--threads", "-3"],
+    # scan grids past the size cap, refused before they are allocated
+    ["z-zeros", "--params", C1, "--zmax", "1e308"],
+    ["z-verify", "--params", C1, "--zmax", "1e308"],
+    ["z-zeros", "--params", C1, "--zmax", "1e7"],
+    ["z-zeros", "--params", C1, "--zmax", "1e7", "--step", "100"],
+    ["z-zeros", "--params", C1, "--zmax", "1e308", "--step", "1e303"],
+    ["z-zeros", "--params", C1, "--zmax", "5", "--step", "1e-9"],
+    ["xi-zeros", "--zmax", "10", "--b", "inf"],
+    ["xi-zeros", "--zmax", "10", "--b", "nan"],
+    ["xi-flow", "--zmax", "10", "--b-grid", "0,nan"],
+    ["xi-flow", "--zmax", "10", "--b-grid", "0,inf"],
 ])
 def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
     xfile = tmp_path / "x.csv"

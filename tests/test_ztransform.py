@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from zlab import ztransform
 from zlab.errors import (
     BoundaryTooCloseToZero,
     InvalidSpec,
@@ -23,7 +24,7 @@ from zlab.errors import (
 from zlab.numerics.quadrature import EXTENDED, NATIVE, QuadratureConfig
 from zlab.rho import RhoSpec, gue_spec
 from zlab.schoenberg import SchoenbergParams
-from zlab.xi import XiConfig, _XiSource, xi_eval_err
+from zlab.xi import XiConfig, _XiSource, xi_eval_err, xi_zeros
 from zlab.ztransform import (
     Rect,
     ZSpec,
@@ -248,6 +249,34 @@ def test_native_deep_tail_table():
     assert len(table.zeros) == 18
     assert abs(table.zeros[-1].z - 33.42361481341606) < 1e-9
     assert table.noise_regions[0][0] >= 33.9
+
+
+def test_tables_polish_without_adaptive_quadrature(monkeypatch):
+    # bracketing, polish and acceptance all run on the scan's own rule
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero table called adaptive quadrature")
+
+    monkeypatch.setattr(ztransform, "integrate_adaptive", refuse)
+    assert len(find_real_zeros(GUE, 50.0).zeros) == 18
+    table = find_real_zeros(ZSpec(C1.spec, 0.3), 5.0, pc=EXTENDED)
+    assert abs(table.zeros[0].z - c1_zero(0.3)) < 1e-10
+
+
+@pytest.mark.parametrize("weight", ["xi", "quartic"])
+def test_table_derivative_matches_extended_quadrature(weight):
+    # the derivative column against a central difference of a tight
+    # extended-precision quadrature (step error ~1e-10, noise ~1e-11)
+    if weight == "xi":
+        zspec, table = _XiSource(0.0, XiConfig()), xi_zeros(50.0)
+    else:
+        zspec, table = GUE, find_real_zeros(GUE, 50.0)
+    qc = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-24)
+    for zr in table.zeros:
+        zp, zm = zr.z + 1e-5, zr.z - 1e-5
+        ref = (eval_quadrature(zspec, zp, qc=qc, pc=EXTENDED).value.real
+               - eval_quadrature(zspec, zm, qc=qc, pc=EXTENDED).value.real) \
+            / (zp - zm)
+        assert abs(zr.derivative - ref) <= 1e-8 * abs(ref), (zr.z, ref)
 
 
 @pytest.mark.parametrize("weight", [
