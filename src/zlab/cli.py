@@ -84,15 +84,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(x) for x in text.split(",")]
     except ValueError:
-        pass
-    raise InvalidSpec(f"expected RE or RE,IM, got {text!r}")
+        parts = []
+    if not 1 <= len(parts) <= 2:
+        raise InvalidSpec(f"expected RE or RE,IM, got {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise InvalidSpec(f"expected finite parts, got {text!r}")
+    return complex(*parts)
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:

@@ -200,33 +200,27 @@ def from_array(x) -> DD:
 
 
 def reduce_sum(v: DD) -> DD:
-    """Sum the elements of an array-valued DD by pairwise folding.
+    """Sum an array-valued DD along its last axis by pairwise folding.
 
     Deterministic and independent of numpy reduction internals; every fold
     is a full double-double addition, so the result carries no summation
-    error beyond the representation of the addends.
+    error beyond the representation of the addends.  A scalar or 1-D
+    input gives a scalar DD.
     """
-    hi = np.atleast_1d(np.asarray(v.hi, dtype=float)).ravel()
-    lo = np.atleast_1d(np.asarray(v.lo, dtype=float)).ravel()
-    cur = DD(hi, lo)
-    n = hi.size
-    while n > 1:
-        if n % 2:
-            last = DD(cur.hi[-1], cur.lo[-1])
-            cur = DD(cur.hi[:-1], cur.lo[:-1])
-            n -= 1
+    hi = np.atleast_1d(np.asarray(v.hi, dtype=float))
+    lo = np.atleast_1d(np.asarray(v.lo, dtype=float))
+    while hi.shape[-1] > 1:
+        k = hi.shape[-1] // 2
+        head = DD(hi[..., :k], lo[..., :k]) + DD(hi[..., k:2 * k], lo[..., k:2 * k])
+        if hi.shape[-1] % 2:
+            # an odd element out rides along to the next fold
+            hi = np.concatenate([head.hi, hi[..., -1:]], axis=-1)
+            lo = np.concatenate([head.lo, lo[..., -1:]], axis=-1)
         else:
-            last = None
-        half = n // 2
-        cur = DD(cur.hi[:half], cur.lo[:half]) + DD(cur.hi[half:], cur.lo[half:])
-        if last is not None:
-            tail_hi = np.concatenate([cur.hi, [last.hi]])
-            tail_lo = np.concatenate([cur.lo, [last.lo]])
-            cur = DD(tail_hi, tail_lo)
-            n = half + 1
-        else:
-            n = half
-    return DD(float(cur.hi[0]), float(cur.lo[0]))
+            hi, lo = head.hi, head.lo
+    if hi.ndim == 1:
+        return DD(float(hi[0]), float(lo[0]))
+    return DD(hi[..., 0], lo[..., 0])
 
 
 def dot(w, v: DD) -> DD:

@@ -26,6 +26,8 @@ from ..errors import InvalidSpec, NonConvergence, NonFinite
 from . import ddouble as dd
 from .ddouble import DD, DDComplex
 
+_MAX_PANELS = 20000  # most panels in one run, initial or refined
+
 # ---------- configuration records ----------
 
 
@@ -151,7 +153,11 @@ def _initial_panels(a: float, b: float, max_panel_width: float | None) -> list[_
     width = b - a
     count = 4
     if max_panel_width is not None and max_panel_width > 0:
-        count = max(count, int(math.ceil(width / max_panel_width)))
+        wanted = width / max_panel_width
+        if not wanted <= _MAX_PANELS:
+            raise InvalidSpec(f"{wanted:.3g} initial panels would pass the "
+                              f"cap of {_MAX_PANELS}")
+        count = max(count, int(math.ceil(wanted)))
     edges = np.linspace(a, b, count + 1)
     return [_Panel(float(edges[i]), float(edges[i + 1]), 0) for i in range(count)]
 
@@ -176,23 +182,6 @@ def _eval_panels_native(f, panels, order) -> int:
         p.err = float(abs(v2[i] - vn[i]))
         p.absint = float(ai[i])
     return un.size + u2.size
-
-
-def _dd_axis_sum(mat: DD) -> DD:
-    """Fold an array DD along its last axis by pairwise halving."""
-    cur = mat
-    n = np.asarray(cur.hi).shape[-1]
-    while n > 1:
-        k = n // 2
-        head = DD(cur.hi[..., :k], cur.lo[..., :k]) + DD(cur.hi[..., k:2 * k], cur.lo[..., k:2 * k])
-        if n % 2:
-            cur = DD(np.concatenate([head.hi, cur.hi[..., -1:]], axis=-1),
-                     np.concatenate([head.lo, cur.lo[..., -1:]], axis=-1))
-            n = k + 1
-        else:
-            cur = head
-            n = k
-    return DD(cur.hi[..., 0], cur.lo[..., 0])
 
 
 def _as_ddcomplex(fv) -> DDComplex:
@@ -231,13 +220,13 @@ def _eval_panels_dd(f_dd, panels, order) -> int:
         fv = _as_ddcomplex(f_dd(u))
         if not (np.all(np.isfinite(fv.re.hi)) and np.all(np.isfinite(fv.im.hi))):
             raise NonFinite("integrand produced a non-finite value")
-        re = _dd_axis_sum(fv.re * w) * half_flat
-        im = _dd_axis_sum(fv.im * w) * half_flat
+        re = dd.reduce_sum(fv.re * w) * half_flat
+        im = dd.reduce_sum(fv.im * w) * half_flat
         rules.append((re, im, fv))
         count += len(panels) * np.asarray(x.hi).size
     (re_n, im_n, _), (re_2, im_2, fv2) = rules
     mag = dd.sqrt(fv2.re.sqr() + fv2.im.sqr())
-    absint = _dd_axis_sum(mag * w2) * half_flat
+    absint = dd.reduce_sum(mag * w2) * half_flat
     for i, p in enumerate(panels):
         p.value = DDComplex(DD(float(re_2.hi[i]), float(re_2.lo[i])),
                             DD(float(im_2.hi[i]), float(im_2.lo[i])))
@@ -316,7 +305,7 @@ def integrate_adaptive(
                 raise NonConvergence(
                     f"quadrature error {total_err:.3e} above tolerance {tol:.3e} at depth cap")
             to_split = [max(candidates, key=lambda p: p.err)]
-        if len(panels) > 20000:
+        if len(panels) > _MAX_PANELS:
             raise NonConvergence("panel count exploded; integrand likely too rough")
         split_ids = {id(p) for p in to_split}
         fresh = []

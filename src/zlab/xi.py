@@ -13,7 +13,7 @@ pinned by a regression test.  An independent oracle route goes through the
 Dirichlet eta series (zeta_critical_line) and the Gamma factor, sharing no
 code with the F path.
 
-Zero location reuses the ztransform scan/bisect/verify machinery by
+Zero location reuses the ztransform scan/polish/verify machinery by
 plugging F in as the weight: evenness lets the scan work with F(|u|),
 which is legitimate only because the evenness check runs on directly
 computed negative-u values first.  xi_eval itself never assumes evenness.
@@ -280,8 +280,8 @@ class _XiSource:
     cfg: XiConfig
 
     def __post_init__(self):
-        if not math.isfinite(self.b):
-            raise InvalidSpec("b must be finite")
+        if not (self.b >= 0.0 and math.isfinite(self.b)):
+            raise InvalidSpec("b must be finite and nonnegative")
 
     def weights(self):
         n = _term_count(0.0, self.cfg.term_tail_tol)
@@ -319,7 +319,7 @@ def xi_zeros(z_max: float, cfg: XiConfig | None = None,
              b: float = 0.0) -> ZeroTable:
     """Real zeros of xi_eval(., b) on [0, z_max], winding-verified.
 
-    Runs the shared scan/bisect/polish pipeline with F as the weight, then
+    Runs the shared scan/polish pipeline with F as the weight, then
     counts zeros on [0, x] x [-2, 2] by the boundary argument for the
     largest resolvable x; the comparison lands in the table notes, and a
     mismatch is reported, never silently dropped.

@@ -13,8 +13,8 @@ hypergeometric form for the quartic-weight member (b = 0 only).
 Zero machinery: a trapezoid-rule scan on a power-of-two u grid (one rule
 per precision mode) locates sign changes on [0, z_max], classifies
 sub-noise stretches honestly instead of inventing zeros in decayed tails,
-then bisects and Newton-polishes each credible candidate on the same rule,
-the polish in double-double.  A rectangle count walks the boundary
+then polishes each credible candidate by a cell-guarded Halley iteration
+on the same rule in double-double.  A rectangle count walks the boundary
 argument by adaptive quadrature, sharing no evaluator with the scan, and
 verify_reality compares the two on the largest resolvable window.
 """
@@ -54,7 +54,11 @@ from .rho import moments as rho_moments
 
 _EPS = float(np.finfo(float).eps)
 _DD_EPS = 2.0**-104
-_MAX_GRID = 1 << 20  # most points in a scan's z grid or its rule's u grid
+_MAX_GRID = 1 << 20  # most nodes in a scan rule's u grid
+# most z points x rule nodes in one scan, per mode: either is about twenty
+# seconds of scan on a shared 2-vCPU host, refused before the z grid exists
+_MAX_SCAN_WORK = {"native": 1 << 27, "extended": 1 << 21}
+_POLISH_STEPS = 12  # most rule evaluations in one zero's polish
 
 
 @dataclass(frozen=True)
@@ -199,7 +203,7 @@ def eval_quadrature(
 
     res = integrate_adaptive(
         f, -U, U, qc=qc, pc=pc, f_dd=f_dd,
-        max_panel_width=math.pi / (2.0 * max(1.0, abs(z.real))))
+        max_panel_width=0.5 * math.pi / max(1.0, abs(z.real)))
     floor = (_DD_EPS if (res.mode == "extended") else _EPS) * res.abs_integral
     err = res.error + floor
     value = res.value
@@ -380,7 +384,7 @@ class _ScanRule:
     h is the power of two at or below min(pi / (4 z_max), U / 128), which
     puts the nearest alias of the step-2h rule 3 z_max past the window and
     past the transform's decay, and makes the nodes and the phase z u
-    exact.  The grid, bisection and polish share the rule; per z the error
+    exact.  The grid and the polish share the rule; per z the error
     estimate is |T(h) - T(2h)| + eps * sum |w|, T(2h) over the even nodes.
     """
 
@@ -402,21 +406,17 @@ class _ScanRule:
         self.floor = (_DD_EPS if self.extended else _EPS) * self.abs_w
 
     @functools.cached_property
-    def _dd_nodes(self) -> tuple[DD, DD, DD]:
-        # (u, w, w u) in dd; built on first use, so a native table pays for
-        # them only when it has a candidate to polish
+    def _dd_nodes(self) -> tuple[DD, DD, DD, DD]:
+        # (u, w, w u, w u^2) in dd; built on first use, so a native table
+        # pays for them only when it has a candidate to polish
         u_dd = dd.from_array(self.u)
         w_dd = self._g_dd(u_dd).scale2(self._scale)
-        return u_dd, w_dd, w_dd * self.u
+        return u_dd, w_dd, w_dd * self.u, w_dd * self.u**2
 
     def _native_terms(self, zs: np.ndarray) -> np.ndarray:
         # z u = p + e exactly, and cos(p + e) = cos p - e sin p to O(e^2)
         p, e = dd.two_prod(zs[:, None], self.u)
         return self.w * (np.cos(p) - e * np.sin(p))
-
-    def _dd_terms(self, z: float) -> DD:
-        u_dd, w_dd, _ = self._dd_nodes
-        return w_dd * dd.cos(u_dd * z)
 
     @staticmethod
     def _trapezoid(t: DD) -> tuple[float, float]:
@@ -430,8 +430,10 @@ class _ScanRule:
         vals = np.empty(zs.size)
         diffs = np.empty(zs.size)
         if self.extended:
+            u_dd, w_dd, _, _ = self._dd_nodes
             for i, z in enumerate(zs):
-                vals[i], diffs[i] = self._trapezoid(self._dd_terms(float(z)))
+                t = w_dd * dd.cos(u_dd * float(z))
+                vals[i], diffs[i] = self._trapezoid(t)
         else:
             chunk = max(1, 1_000_000 // self.u.size)
             for s in range(0, zs.size, chunk):
@@ -441,19 +443,15 @@ class _ScanRule:
                 diffs[s:s + chunk] = full - 2.0 * t[:, ::2].sum(axis=1)
         return vals, np.abs(diffs) + self.floor
 
-    def eval_one(self, z: float) -> float:
-        if self.extended:
-            return dd.reduce_sum(self._dd_terms(z)).to_float()
-        return float(self._native_terms(np.array([z])).sum())
-
-    def eval_polish(self, z: float) -> tuple[float, float, float]:
-        """T(z), T'(z) = -sum w u sin(u z) and the dd error estimate of T,
-        from one dd sincos pass whatever the mode."""
-        u_dd, w_dd, wu_dd = self._dd_nodes
+    def eval_polish(self, z: float) -> tuple[float, float, float, float]:
+        """T, T' = -sum w u sin(u z), T'' = -sum w u^2 cos(u z) and the dd
+        error estimate of T at z, from one dd sincos pass whatever the mode."""
+        u_dd, w_dd, wu_dd, wu2_dd = self._dd_nodes
         s, c = dd.sincos(u_dd * z)
         value, diff = self._trapezoid(w_dd * c)
         deriv = -dd.reduce_sum(wu_dd * s).to_float()
-        return value, deriv, abs(diff) + _DD_EPS * self.abs_w
+        second = -dd.reduce_sum(wu2_dd * c).to_float()
+        return value, deriv, second, abs(diff) + _DD_EPS * self.abs_w
 
 
 def _spacing_estimate(zspec: ZSpec, pc: PrecisionConfig) -> float:
@@ -475,10 +473,12 @@ def find_real_zeros(
     """Locate the real zeros of Z_b on [0, z_max].
 
     Sign changes whose flanking magnitudes sit below ten times the local
-    error estimate are recorded as noise regions, not zeros; candidates
-    above the floor are bisected on the scan rule and polished by Newton
-    steps on the same rule in double-double, then accepted only if the
-    final residual is within a hundred times the rule's error estimate.
+    error estimate are recorded as noise regions, not zeros.  Each
+    candidate above the floor is polished by Halley steps on the scan rule
+    in double-double from the secant point of its grid cell; a step that
+    leaves the cell's bracket falls back to its midpoint, so every root
+    stays in its own cell.  A root is accepted only if the final residual
+    is within a hundred times the rule's error estimate.
     """
     if not (0.0 < z_max < math.inf):
         raise InvalidSpec("z_max must be finite and positive")
@@ -486,9 +486,11 @@ def find_real_zeros(
         raise InvalidSpec("step must be finite and positive")
     spacing = _spacing_estimate(zspec, pc)
     h = spacing / 6.0 if step is None else step
-    if not z_max / h < _MAX_GRID - 2:
-        raise InvalidSpec(f"the scan grid would pass {_MAX_GRID} points")
     rule = _ScanRule(zspec, z_max, pc)
+    work = (z_max / h + 2.0) * rule.u.size
+    if not work <= _MAX_SCAN_WORK[pc.mode]:
+        raise InvalidSpec(f"the scan would take {work:.3g} z points x rule "
+                          f"nodes, past {_MAX_SCAN_WORK[pc.mode]}")
     zs = np.arange(0.0, z_max + h, h)
     zs = zs[zs <= z_max + 1e-12]
     if zs[-1] < z_max:
@@ -524,30 +526,24 @@ def find_real_zeros(
         if noise_mask[i] or noise_mask[i + 1]:
             continue  # inside a recorded noise region
         lo, hi = float(zs[i]), float(zs[i + 1])
-        flo = vals[i]
-        for _ in range(40):
-            midp = 0.5 * (lo + hi)
-            fm = rule.eval_one(midp)
-            if flo * fm <= 0.0:
-                hi = midp
-            else:
-                lo = midp
-                flo = fm
-        root = 0.5 * (lo + hi)
-        # Newton polish on the rule in dd, in either mode: near a root a
-        # native value is all cancellation
-        for _ in range(2):
-            v, dv, _ = rule.eval_polish(root)
-            if dv == 0.0:
+        root = float(lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i]))
+        for k in range(_POLISH_STEPS):
+            final, dfinal, d2, err = rule.eval_polish(root)
+            # a float root cannot witness a residual below |Z'| * ulp(z_k),
+            # so that term joins the rule's error in the root's resolution
+            noise = err + abs(dfinal) * _EPS * max(1.0, abs(root))
+            denom = 2.0 * dfinal * dfinal - final * d2
+            dz = 2.0 * final * dfinal / denom if denom else math.inf
+            if abs(dz * dfinal) <= noise or k == _POLISH_STEPS - 1:
                 break
-            root -= v / dv
-        if zeros and abs(root - zeros[-1].z) < 0.5 * h:
-            continue  # Newton drifted back into the previous cell
-        final, dfinal, err = rule.eval_polish(root)
-        # a float root cannot witness a residual below |Z'| * ulp(z_k), so
-        # that term joins the rule's error in the acceptance threshold
-        tol_res = 1e2 * (err + abs(dfinal) * _EPS * max(1.0, abs(root)))
-        if abs(final) <= tol_res:
+            if final * vals[i] > 0.0:
+                lo = root
+            else:
+                hi = root
+            root -= dz
+            if not lo < root < hi:
+                root = 0.5 * (lo + hi)
+        if abs(final) <= 1e2 * noise:
             zeros.append(Zero(index=len(zeros), z=root,
                               residual=abs(final), derivative=dfinal))
         else:

@@ -426,6 +426,17 @@ def test_inadmissible_measure_rejected_before_transform(tmp_path):
     ["xi-zeros", "--zmax", "10", "--b", "nan"],
     ["xi-flow", "--zmax", "10", "--b-grid", "0,nan"],
     ["xi-flow", "--zmax", "10", "--b-grid", "0,inf"],
+    # non-finite complex arguments, and an initial panel count past the cap
+    ["p-eval", "--params", GAUSS, "--t", "nan"],
+    ["z-eval", "--params", C1, "--z", "nan"],
+    ["z-eval", "--params", '{"omega": 0.5}', "--z", "1e300"],
+    ["z-eval", "--params", '{"omega": 0.5}', "--z", "1e308"],
+    # b < 0 is outside the paper's domain for xi as for ZSpec
+    ["xi-zeros", "--zmax", "20", "--b", "-1"],
+    ["xi-flow", "--b-grid=-1,0", "--zmax", "20"],
+    # a scan refused for its time, not its memory
+    ["z-zeros", "--params", C1, "--zmax", "5", "--step", "5e-6",
+     "--precision", "dd"],
 ])
 def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
     xfile = tmp_path / "x.csv"

@@ -149,6 +149,12 @@ def test_reduce_sum_deterministic_and_compensated():
     exact = sum(Fraction(float(x)) for x in xs)
     got = Fraction(s1.hi) + Fraction(s1.lo)
     assert abs(float(got - exact)) <= 1e-25 * float(np.abs(xs).max())
+    # an array folds along its last axis, each row exactly as on its own
+    rows = xs[:1533].reshape(3, 511)
+    folded = dd.reduce_sum(dd.from_array(rows))
+    for i, row in enumerate(rows):
+        alone = dd.reduce_sum(dd.from_array(row))
+        assert (folded.hi[i], folded.lo[i]) == (alone.hi, alone.lo)
 
 
 def test_scale2_exact():

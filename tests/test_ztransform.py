@@ -21,6 +21,7 @@ from zlab.errors import (
     PrecisionExhausted,
     StepTooCoarseWarning,
 )
+from zlab.numerics import ddouble as dd
 from zlab.numerics.quadrature import EXTENDED, NATIVE, QuadratureConfig
 from zlab.rho import RhoSpec, gue_spec
 from zlab.schoenberg import SchoenbergParams
@@ -62,6 +63,43 @@ def gauss_exact(z: complex) -> complex:
 def c1_zero(b: float) -> float:
     s = 1.0 + b
     return math.sqrt(4.0 * s * s + 2.0 * s)
+
+
+class BumpSource:
+    """g(u) = e^{-(1+b) u^2} (1 + u^4), duck-typed like ZSpec.
+
+    Positive and even but outside Newman's class: with a = 1 + b its
+    transform is sqrt(pi/a) e^{-z^2/4a} [1 + (s^4/16 - 3s^2/4 + 3/4) / a^2],
+    s = z / sqrt(a), whose zeros s^2 = 6 -+ sqrt(24 - 16 a^2) collide at
+    b = sqrt(3/2) - 1.
+    """
+
+    def __init__(self, b: float):
+        self.b = b
+
+    def weights(self):
+        a = 1.0 + self.b
+
+        def g(u):
+            u = np.asarray(u, float)
+            return np.exp(-a * u * u) * (1.0 + u**4)
+
+        def g_dd(u):
+            u2 = u.sqr()
+            return dd.exp(u2 * (-a)) * (u2.sqr() + 1.0)
+
+        return g, g_dd
+
+    def radius(self, im_z, pc):
+        return 12.0 + abs(im_z) / (1.0 + self.b)
+
+    def with_b(self, b):
+        return BumpSource(b)
+
+    def zeros(self):
+        a = 1.0 + self.b
+        root = math.sqrt(24.0 - 16.0 * a * a)
+        return [math.sqrt(a * (6.0 - root)), math.sqrt(a * (6.0 + root))]
 
 
 def test_spec_validation():
@@ -260,6 +298,50 @@ def test_tables_polish_without_adaptive_quadrature(monkeypatch):
     assert len(find_real_zeros(GUE, 50.0).zeros) == 18
     table = find_real_zeros(ZSpec(C1.spec, 0.3), 5.0, pc=EXTENDED)
     assert abs(table.zeros[0].z - c1_zero(0.3)) < 1e-10
+
+
+def test_zeros_closer_than_a_step_both_kept():
+    # two real zeros 0.019 apart in adjacent cells of a 0.044 grid: each
+    # is polished inside its own cell, so neither is dropped as a repeat
+    src = BumpSource(0.2247)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = find_real_zeros(src, 6.0)
+        rep = verify_reality(src, 6.0, delta=0.5)
+    assert any(issubclass(w.category, StepTooCoarseWarning) for w in caught)
+    assert abs(table.step - 0.0436) < 1e-4
+    got = [zr.z for zr in table.zeros]
+    assert len(got) == 2
+    for z, ref, closed in zip(got, (2.7012667352833, 2.7202128638862),
+                              src.zeros()):
+        assert abs(z - ref) < 1e-10 and abs(z - closed) < 1e-10
+    assert rep.passed and rep.n_real == rep.n_rect == 2
+
+
+@pytest.mark.parametrize("case", [
+    "quartic_native", "quartic_dd", "bump", "xi"])
+def test_each_root_polished_inside_its_own_cell(case):
+    zspec, z_max, pc = {
+        "quartic_native": (GUE, 50.0, NATIVE),
+        "quartic_dd": (GUE, 15.0, EXTENDED),
+        "bump": (BumpSource(0.2247), 6.0, NATIVE),
+        "xi": (_XiSource(0.0, XiConfig()), 50.0, NATIVE),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepTooCoarseWarning)
+        table = find_real_zeros(zspec, z_max, pc=pc)
+    assert table.zeros
+    rule = _ScanRule(zspec, z_max, pc)
+    h = table.step
+    cells = [math.floor(zr.z / h) for zr in table.zeros]
+    assert len(set(cells)) == len(cells)
+    for zr, k in zip(table.zeros, cells):
+        # the grid cell [k h, (k + 1) h] bracketed a sign change
+        ends, _ = rule.eval_grid(np.array([k * h, (k + 1) * h]))
+        assert ends[0] * ends[1] < 0.0, (zr.z, ends)
+        # the table's columns are the rule's polish values at the root
+        value, deriv, _, _ = rule.eval_polish(zr.z)
+        assert (zr.residual, zr.derivative) == (abs(value), deriv)
 
 
 @pytest.mark.parametrize("weight", ["xi", "quartic"])
