@@ -470,12 +470,6 @@ class DDComplex:
     def conj(self):
         return DDComplex(self.re, -self.im)
 
-    def abs2(self) -> DD:
-        return self.re.sqr() + self.im.sqr()
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         return f"DDComplex({self.re!r}, {self.im!r})"
 

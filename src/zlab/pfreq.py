@@ -386,6 +386,8 @@ def check_pf_minors(
         raise InvalidSpec("tol must be finite and nonnegative")
     if grid_size < order:
         raise InvalidSpec("grid_size must be at least the minor order")
+    if seed < 0:
+        raise InvalidSpec("seed must be nonnegative")
     window = window or source.suggest_window()
     xs = _grid_from_window(window, grid_size)
     ys = xs.copy()

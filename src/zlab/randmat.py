@@ -120,6 +120,8 @@ def sample_gue(n: int, rng_seed: int, index: int = 0) -> HermitianMatrix:
     """One draw from density 1/z * exp(-tr(A^2)/2) on n x n Hermitians."""
     if n < 1:
         raise InvalidSpec("n must be >= 1")
+    if rng_seed < 0:
+        raise InvalidSpec("seed must be nonnegative")
     rng = _matrix_rng(rng_seed, index)
     a = np.zeros((n, n), dtype=complex)
     a[np.diag_indices(n)] = rng.standard_normal(n)
@@ -188,6 +190,8 @@ def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
     """
     if x.n != n:
         raise InvalidSpec("test matrix size must match n")
+    if rng_seed < 0:
+        raise InvalidSpec("seed must be nonnegative")
     if not threads >= 1:
         raise InvalidSpec("threads must be at least 1")
     if samples < 2:

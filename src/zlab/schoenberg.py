@@ -93,7 +93,8 @@ def eval_p(params: SchoenbergParams, t, pole_eps: float = 1e-8):
 
     Raises PoleProximity within pole_eps * max(1, |t|) of any pole and
     NonFinite when the Gaussian factor would overflow (possible only for
-    complex t with |Im t| > |Re t| and d > 0).
+    complex t with |Im t| > |Re t| and d > 0) or the value is not finite
+    (t so large that t^2 overflows).
     """
     t_arr = np.asarray(t, dtype=complex)
     for pole in poles(params):
@@ -101,8 +102,9 @@ def eval_p(params: SchoenbergParams, t, pole_eps: float = 1e-8):
         bad = gap <= pole_eps * np.maximum(1.0, np.abs(t_arr))
         if np.any(bad):
             raise PoleProximity(f"t within {pole_eps:g} of pole {pole}", pole=pole)
-    ex = 1j * params.omega * t_arr - params.d * (t_arr * t_arr)
-    re_total = ex.real - params.coeff_sum * t_arr.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = 1j * params.omega * t_arr - params.d * (t_arr * t_arr)
+        re_total = ex.real - params.coeff_sum * t_arr.imag
     if np.any(re_total > _EXP_CAP):
         raise NonFinite("characteristic function overflows at this argument")
     out = np.exp(ex)
@@ -110,6 +112,9 @@ def eval_p(params: SchoenbergParams, t, pole_eps: float = 1e-8):
         if c == 0.0:
             continue
         out = out * (np.exp(1j * c * t_arr) / (1.0 + 1j * c * t_arr))
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("characteristic function is not finite at this "
+                        "argument")
     if np.ndim(t) == 0:
         return complex(out)
     return out

@@ -11,12 +11,13 @@ sum (-1)^j z^{2j} m_{2j} / (2j)! (any spec, moderate z), and a closed
 hypergeometric form for the quartic-weight member (b = 0 only).
 
 Zero machinery: a trapezoid-rule scan on a power-of-two u grid (one rule
-per precision mode) locates sign changes on [0, z_max], classifies
-sub-noise stretches honestly instead of inventing zeros in decayed tails,
-then polishes each credible candidate by a cell-guarded Halley iteration
-on the same rule in double-double.  A rectangle count walks the boundary
-argument by adaptive quadrature, sharing no evaluator with the scan, and
-verify_reality compares the two on the largest resolvable window.
+per precision mode, evaluated over the z grid in whole-array chunks)
+locates sign changes on [0, z_max], classifies sub-noise stretches
+honestly instead of inventing zeros in decayed tails, then polishes each
+credible candidate by a cell-guarded Halley iteration on the same rule in
+double-double.  A rectangle count walks the boundary argument by adaptive
+quadrature, sharing no evaluator with the scan, and verify_reality
+compares the two on the largest resolvable window.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BoundaryTooCloseToZero,
@@ -55,10 +57,12 @@ from .rho import moments as rho_moments
 _EPS = float(np.finfo(float).eps)
 _DD_EPS = 2.0**-104
 _MAX_GRID = 1 << 20  # most nodes in a scan rule's u grid
-# most z points x rule nodes in one scan, per mode: either is about twenty
-# seconds of scan on a shared 2-vCPU host, refused before the z grid exists
+# most z points x rule nodes in one scan, per mode, refused before the z
+# grid exists: a table just under the cap took about 13 s native and 3 s
+# extended on a shared 2-vCPU host
 _MAX_SCAN_WORK = {"native": 1 << 27, "extended": 1 << 21}
 _POLISH_STEPS = 12  # most rule evaluations in one zero's polish
+_CHUNK = 1 << 16  # z x node terms per scan-grid pass, either mode
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,6 @@ class ZValue:
     method: str
     mode: str
     escalated: bool = False
-    value_dd: DDComplex | None = field(default=None, repr=False)
 
     @property
     def real(self) -> float:
@@ -190,9 +193,6 @@ def eval_quadrature(
     def f(u):
         return np.exp(1j * z * u) * g(u)
 
-    zr = DD(z.real, 0.0)
-    zi = DD(z.imag, 0.0)
-
     def f_dd(u: DD) -> DDComplex:
         amp = g_dd(u)
         if z.imag:
@@ -214,8 +214,7 @@ def eval_quadrature(
                 f"imaginary residue {value.imag:.3e} at real z = {z.real:g}")
         value = complex(value.real, 0.0)
     return ZValue(z=z, value=value, error=err, method="quadrature",
-                  mode=res.mode, escalated=res.escalated,
-                  value_dd=res.value_dd)
+                  mode=res.mode, escalated=res.escalated)
 
 
 # ---------- route 2: moment series ----------
@@ -345,8 +344,7 @@ def eval_gue_hypergeom(z: float, pc: PrecisionConfig = NATIVE) -> ZValue:
         p1 = c1 * f1
         p2 = zeta.sqr() * g34.sqr() * f2
         h = (p1 - p2) / (g34.scale2(4.0))
-        val_dd = h * dd.sqrt(dd.SQRT2)
-        value = val_dd.to_float()
+        value = (h * dd.sqrt(dd.SQRT2)).to_float()
         piece = (abs(p1.hi) + abs(p2.hi)) / (4.0 * g34.hi) * 2.0**0.25
         err = _DD_EPS * piece
     else:
@@ -360,7 +358,6 @@ def eval_gue_hypergeom(z: float, pc: PrecisionConfig = NATIVE) -> ZValue:
         value = (p1 - p2) / (4.0 * g34) * 2.0**0.25
         piece = (abs(p1) + abs(p2)) / (4.0 * g34) * 2.0**0.25
         err = _EPS * piece
-        val_dd = None
     env = gue_envelope(z) * 2.0  # prefactor headroom
     if err > 0.3 * env:
         raise PrecisionExhausted(
@@ -368,8 +365,7 @@ def eval_gue_hypergeom(z: float, pc: PrecisionConfig = NATIVE) -> ZValue:
             f"vs amplitude envelope {env:.3e} in {pc.mode} mode")
     return ZValue(z=z, value=complex(value, 0.0), error=err,
                   method="hypergeom",
-                  mode="extended" if extended else "native",
-                  value_dd=DDComplex(val_dd, DD(0.0, 0.0)) if extended else None)
+                  mode="extended" if extended else "native")
 
 
 # ---------- scan rule ----------
@@ -386,6 +382,10 @@ class _ScanRule:
     past the transform's decay, and makes the nodes and the phase z u
     exact.  The grid and the polish share the rule; per z the error
     estimate is |T(h) - T(2h)| + eps * sum |w|, T(2h) over the even nodes.
+    The grid passes a column of z against the row of nodes, _CHUNK terms
+    at a time, in float64 or in double-double by mode; dd.reduce_sum folds
+    each row exactly as it folds the polish's single z, so the grid's dd
+    values equal the polish's bit for bit.
     """
 
     def __init__(self, zspec: ZSpec, z_max: float, pc: PrecisionConfig):
@@ -413,34 +413,33 @@ class _ScanRule:
         w_dd = self._g_dd(u_dd).scale2(self._scale)
         return u_dd, w_dd, w_dd * self.u, w_dd * self.u**2
 
-    def _native_terms(self, zs: np.ndarray) -> np.ndarray:
+    def _native_terms(self, zc: np.ndarray) -> np.ndarray:
         # z u = p + e exactly, and cos(p + e) = cos p - e sin p to O(e^2)
-        p, e = dd.two_prod(zs[:, None], self.u)
+        p, e = dd.two_prod(zc, self.u)
         return self.w * (np.cos(p) - e * np.sin(p))
 
     @staticmethod
-    def _trapezoid(t: DD) -> tuple[float, float]:
-        """T(h) and T(h) - T(2h) from the dd terms of one z."""
+    def _trapezoid(t: DD):
+        """T(h) and T(h) - T(2h) from dd terms along the last axis."""
         full = dd.reduce_sum(t)
-        half = dd.reduce_sum(DD(t.hi[::2], t.lo[::2])).scale2(2.0)
+        half = dd.reduce_sum(DD(t.hi[..., ::2], t.lo[..., ::2])).scale2(2.0)
         return full.to_float(), (full - half).to_float()
 
     def eval_grid(self, zs: np.ndarray):
         """T(h) at each z and its error estimate |T(h) - T(2h)| + floor."""
         vals = np.empty(zs.size)
         diffs = np.empty(zs.size)
-        if self.extended:
-            u_dd, w_dd, _, _ = self._dd_nodes
-            for i, z in enumerate(zs):
-                t = w_dd * dd.cos(u_dd * float(z))
-                vals[i], diffs[i] = self._trapezoid(t)
-        else:
-            chunk = max(1, 1_000_000 // self.u.size)
-            for s in range(0, zs.size, chunk):
-                t = self._native_terms(zs[s:s + chunk])
+        chunk = max(1, _CHUNK // self.u.size)
+        for s in range(0, zs.size, chunk):
+            zc = zs[s:s + chunk, None]
+            if self.extended:
+                u_dd, w_dd, _, _ = self._dd_nodes
+                full, diff = self._trapezoid(w_dd * dd.cos(u_dd * zc))
+            else:
+                t = self._native_terms(zc)
                 full = t.sum(axis=1)
-                vals[s:s + chunk] = full
-                diffs[s:s + chunk] = full - 2.0 * t[:, ::2].sum(axis=1)
+                diff = full - 2.0 * t[:, ::2].sum(axis=1)
+            vals[s:s + chunk], diffs[s:s + chunk] = full, diff
         return vals, np.abs(diffs) + self.floor
 
     def eval_polish(self, z: float) -> tuple[float, float, float, float]:
@@ -498,33 +497,23 @@ def find_real_zeros(
         zs = np.append(zs, z_max)
     vals, errs = rule.eval_grid(zs)
 
-    # local amplitude envelope over a one-spacing window
+    # local amplitude envelope over a one-spacing window; the zero padding
+    # never wins a maximum of |T| >= 0, so the edge windows stay exact
     W = max(3, int(math.ceil(spacing / h)))
-    absv = np.abs(vals)
-    env = np.array([absv[max(0, i - W):i + W + 1].max() for i in range(zs.size)])
+    env = sliding_window_view(np.pad(np.abs(vals), W), 2 * W + 1).max(axis=1)
 
     notes: list[str] = []
     noise_mask = env < 10.0 * errs
-    noise_regions: list[tuple[float, float]] = []
-    i = 0
-    while i < zs.size:
-        if noise_mask[i]:
-            j = i
-            while j + 1 < zs.size and noise_mask[j + 1]:
-                j += 1
-            noise_regions.append((float(zs[i]), float(zs[j])))
-            i = j + 1
-        else:
-            i += 1
+    edges = np.diff(np.pad(noise_mask, 1).astype(np.int8))
+    noise_regions = [(float(zs[i]), float(zs[j - 1])) for i, j in
+                     zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
     mode = "extended" if pc.mode == "extended" else "native"
     zeros: list[Zero] = []
     rejected = 0
-    for i in range(zs.size - 1):
-        if not vals[i] * vals[i + 1] < 0.0:
-            continue
-        if noise_mask[i] or noise_mask[i + 1]:
-            continue  # inside a recorded noise region
+    # sign changes with neither end inside a recorded noise region
+    for i in np.flatnonzero((vals[:-1] * vals[1:] < 0.0)
+                            & ~noise_mask[:-1] & ~noise_mask[1:]):
         lo, hi = float(zs[i]), float(zs[i + 1])
         root = float(lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i]))
         for k in range(_POLISH_STEPS):
@@ -571,9 +560,10 @@ def walk_winding(zfun, rect: Rect, spacing: float,
     zfun(p) must return (value, error_bound) at the complex point p.  The
     walk keeps every argument increment below pi/2 by inserting midpoints;
     a boundary point whose magnitude is within ten times its error bound
-    raises BoundaryTooCloseToZero, and a non-integer winding raises
-    NonIntegerResult.  Shared by the transform machinery here and by any
-    other even entire function with a pointwise evaluator.
+    raises BoundaryTooCloseToZero, a segment no longer than 1e-12 that
+    still turns by pi/2 or more raises NonConvergence, and a non-integer
+    winding raises NonIntegerResult.  Shared by the transform machinery
+    here and by any other even entire function with a pointwise evaluator.
     """
     corners = [complex(rect.x0, rect.y0), complex(rect.x1, rect.y0),
                complex(rect.x1, rect.y1), complex(rect.x0, rect.y1),
@@ -610,7 +600,11 @@ def walk_winding(zfun, rect: Rect, spacing: float,
             raise NonConvergence("boundary refinement budget exhausted")
         dphi = math.remainder(np.angle(zval(bp)) - np.angle(zval(a)),
                               2.0 * math.pi)
-        if abs(dphi) >= 0.5 * math.pi and abs(bp - a) > 1e-12:
+        if abs(dphi) >= 0.5 * math.pi:
+            if not abs(bp - a) > 1e-12:
+                raise NonConvergence(
+                    f"argument still turns {abs(dphi):.3g} rad on the "
+                    f"segment {a:g} -> {bp:g}")
             m = 0.5 * (a + bp)
             stack.append((a, m))
             stack.append((m, bp))

@@ -437,6 +437,12 @@ def test_inadmissible_measure_rejected_before_transform(tmp_path):
     # a scan refused for its time, not its memory
     ["z-zeros", "--params", C1, "--zmax", "5", "--step", "5e-6",
      "--precision", "dd"],
+    # negative seeds, rejected before numpy's seeding sees them
+    ["gue-sample", "--n", "4", "--samples", "2", "--seed", "-1"],
+    ["gue-char", "--n", "1", "--X", "{x}", "--samples", "100",
+     "--seed", "-1"],
+    ["tp-check", "--params", C1, "--order", "5", "--grid-size", "12",
+     "--seed", "-1"],
 ])
 def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
     xfile = tmp_path / "x.csv"
@@ -445,6 +451,19 @@ def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # t^2 overflows, and 0 * inf in the Gaussian factor makes p NaN
+    ["p-eval", "--params", C1, "--t", "1e308"],
+    # a rectangle too thin for the walk to resolve the argument
+    ["z-verify", "--params", C1, "--zmax", "5", "--height", "1e-308"],
+])
+def test_unresolvable_numbers_exit_2(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_bad_grid_and_complex_syntax_exit_1(tmp_path):

@@ -173,10 +173,10 @@ def test_ddcomplex_roundtrip_and_cexp():
     z = DDComplex(DD(0.3, 0.0), DD(-0.7, 0.0))
     w = dd.cexp(z)
     ref = complex(math.e**0.3 * math.cos(-0.7), math.e**0.3 * math.sin(-0.7))
-    assert abs(w.to_complex() - ref) < 1e-15
+    assert abs(complex(float(w.re), float(w.im)) - ref) < 1e-15
     # |e^{i theta}| = 1 in dd
     u = dd.exp_i(DD(2.3, 0.0))
-    assert abs((u.abs2() - 1.0).to_float()) < 1e-31
+    assert abs((u.re.sqr() + u.im.sqr() - 1.0).to_float()) < 1e-31
 
 
 def test_where_vector_select():

@@ -256,6 +256,16 @@ def test_walk_budget_exhaustion():
                      max_points=5)
 
 
+def test_walk_refuses_a_quarter_turn_it_cannot_resolve():
+    # the argument jumps by pi across x = 5.3 on the bottom edge: halving
+    # never resolves it, and the turn is refused rather than added
+    def jump(p):
+        return (1.0 if p.real < 5.3 else -1.0) + 0.0j, 1e-300
+
+    with pytest.raises(NonConvergence, match="turns"):
+        walk_winding(jump, Rect(0.0, 10.0, -1.0, 1.0), 0.3)
+
+
 def test_verify_reality_gue():
     rep = verify_reality(GUE, 12.0, delta=3.0, x_min=0.05)
     assert rep.passed
@@ -342,6 +352,62 @@ def test_each_root_polished_inside_its_own_cell(case):
         # the table's columns are the rule's polish values at the root
         value, deriv, _, _ = rule.eval_polish(zr.z)
         assert (zr.residual, zr.derivative) == (abs(value), deriv)
+
+
+def test_extended_grid_equals_polish_across_chunks():
+    # the grid's chunked dd pass and the polish's single-z pass share the
+    # rule, so value and error agree bit for bit at every z, including the
+    # first and last z of each chunk
+    rule = _ScanRule(GUE, 15.0, EXTENDED)
+    rows = ztransform._CHUNK // rule.u.size
+    zs = np.linspace(0.0, 15.0, 3 * rows + 5)
+    vals, errs = rule.eval_grid(zs)
+    for z, v, e in zip(zs, vals, errs):
+        value, _, _, err = rule.eval_polish(float(z))
+        assert (v, e) == (value, err), z
+
+
+def test_scan_passes_match_the_point_loops(monkeypatch):
+    # the per-point loops that the envelope, noise-region and sign-change
+    # passes replaced are the reference, on seeded grid values with loud
+    # and sub-noise stretches, so noise regions end inside the window and
+    # sign changes fall on their edges
+    rng = np.random.default_rng(3)
+    grid = {}
+
+    def fake_grid(self, zs):
+        loud = (np.arange(zs.size) // 25) % 2 == 0
+        vals = rng.standard_normal(zs.size) * np.where(loud, 1.0, 1e-30)
+        errs = np.full(zs.size, 1e-25)
+        grid.update(zs=zs, vals=vals, errs=errs)
+        return vals, errs
+
+    monkeypatch.setattr(_ScanRule, "eval_grid", fake_grid)
+    table = find_real_zeros(GUE, 20.0)
+    zs, vals, errs = grid["zs"], grid["vals"], grid["errs"]
+    h = table.step
+    W = max(3, math.ceil(ztransform._spacing_estimate(GUE, NATIVE) / h))
+    absv = np.abs(vals)
+    env = [absv[max(0, i - W):i + W + 1].max() for i in range(zs.size)]
+    noisy = [e < 10.0 * r for e, r in zip(env, errs)]
+    regions = []
+    i = 0
+    while i < zs.size:
+        if noisy[i]:
+            j = i
+            while j + 1 < zs.size and noisy[j + 1]:
+                j += 1
+            regions.append((float(zs[i]), float(zs[j])))
+            i = j + 1
+        else:
+            i += 1
+    cells = [i for i in range(zs.size - 1) if vals[i] * vals[i + 1] < 0.0
+             and not (noisy[i] or noisy[i + 1])]
+    assert len(regions) >= 2 and regions[0][1] < 20.0
+    assert table.noise_regions == regions
+    rejected = int(table.notes[0].split()[0]) if table.notes else 0
+    assert len(table.zeros) + rejected == len(cells)
+    assert {math.floor(zr.z / h) for zr in table.zeros} <= set(cells)
 
 
 @pytest.mark.parametrize("weight", ["xi", "quartic"])
