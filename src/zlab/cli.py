@@ -14,7 +14,9 @@ alter any result, per the module concurrency contracts).
 Exit codes: 0 success, 1 argument or specification errors, 2 numerical
 failures, 3 a total-positivity violation found by tp-check, 4 a reality
 verification FAIL from z-verify or a scan/winding MISMATCH in an xi-zeros
-table (fresh or cached).
+table (fresh or cached).  A MISMATCH can be a non-real zero in the strip,
+which the winding count sees and the real-axis scan cannot, not only a
+numerical disagreement.
 
 Zero tables (z-zeros, xi-zeros) are cached under <outputdir>/cache keyed
 by the configuration hash; a hit skips recomputation unless --force.

@@ -1,12 +1,15 @@
 """Adaptive composite Gauss-Legendre quadrature with precision escalation.
 
-Panels are compared at order n and 2n; a panel whose discrepancy exceeds its
-share of the budget is halved, up to a depth cap.  The native path evaluates
-integrands vectorized in float64 and accumulates with exact summation; the
-extended path reruns the same machinery in double-double arithmetic, with
-nodes and weights Newton-polished in-repo from float64 seeds.  Everything is
-deterministic: identical inputs give bit-identical results for a fixed
-precision mode.
+Each panel is integrated at order 16 and 32; a panel whose discrepancy
+exceeds its width's share of the tolerance is halved, up to 12 halvings
+of an initial panel.  The panels of a run live in parallel arrays (lo, hi,
+depth, error, int|f| and value), so a refinement round is one mask, one
+batched integrand call on the new halves and one stable sort by lo.  The
+native path evaluates integrands vectorized in float64 and accumulates
+with exact summation; the extended path reruns the same machinery in
+double-double arithmetic, with nodes and weights Newton-polished in-repo
+from float64 seeds.  Everything is deterministic: identical inputs give
+bit-identical results for a fixed precision mode.
 
 Escalation: when a native run shows cancellation ratio |I| / int|f| below
 the configured threshold, the run is redone in extended mode: full
@@ -27,33 +30,23 @@ from . import ddouble as dd
 from .ddouble import DD, DDComplex
 
 _MAX_PANELS = 20000  # most panels in one run, initial or refined
+_PANEL_ORDER = 16  # Gauss order n of the n/2n pair compared on each panel
+_MAX_REFINEMENTS = 12  # most halvings of one initial panel
 
 # ---------- configuration records ----------
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs for one integration run.
+    """Error tolerances for one integration run: refinement stops once the
+    summed panel error is below max(abs_tol, rel_tol * |I|)."""
 
-    truncation_radius: half-width callers use when clipping infinite
-    domains; None means the caller probes the integrand envelope itself.
-    """
-
-    truncation_radius: float | None = None
-    panel_order: int = 16
-    max_refinements: int = 12
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (4 <= self.panel_order <= 64):
-            raise InvalidSpec("panel_order must lie in [4, 64]")
-        if self.max_refinements < 0:
-            raise InvalidSpec("max_refinements must be nonnegative")
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise InvalidSpec("tolerances must be finite and positive")
-        if self.truncation_radius is not None and self.truncation_radius <= 0:
-            raise InvalidSpec("truncation_radius must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -134,22 +127,13 @@ def gauss_nodes_dd(order: int) -> tuple[DD, DD]:
     return _NODE_CACHE_DD[order]
 
 
-# ---------- panel bookkeeping ----------
+# ---------- panel evaluation ----------
 
 
-class _Panel:
-    __slots__ = ("lo", "hi", "depth", "value", "err", "absint")
-
-    def __init__(self, lo: float, hi: float, depth: int):
-        self.lo = lo
-        self.hi = hi
-        self.depth = depth
-        self.value = None   # complex in native runs, DDComplex in extended
-        self.err = 0.0
-        self.absint = 0.0
-
-
-def _initial_panels(a: float, b: float, max_panel_width: float | None) -> list[_Panel]:
+def _initial_edges(a: float, b: float,
+                   max_panel_width: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the initial panels: at least 4, none wider than
+    max_panel_width."""
     width = b - a
     count = 4
     if max_panel_width is not None and max_panel_width > 0:
@@ -159,15 +143,17 @@ def _initial_panels(a: float, b: float, max_panel_width: float | None) -> list[_
                               f"cap of {_MAX_PANELS}")
         count = max(count, int(math.ceil(wanted)))
     edges = np.linspace(a, b, count + 1)
-    return [_Panel(float(edges[i]), float(edges[i + 1]), 0) for i in range(count)]
+    return edges[:-1], edges[1:]
 
 
-def _eval_panels_native(f, panels, order) -> int:
-    """Fill value/err/absint on each panel; returns evaluation count."""
-    xn, wn = gauss_nodes(order)
-    x2, w2 = gauss_nodes(2 * order)
-    mid = np.array([(p.lo + p.hi) * 0.5 for p in panels])
-    half = np.array([(p.hi - p.lo) * 0.5 for p in panels])
+def _eval_panels_native(f, lo, hi):
+    """Order-n and order-2n rules on the panels [lo, hi]: returns the
+    order-2n values, their distance from the order-n values, int|f| per
+    panel and the evaluation count."""
+    xn, wn = gauss_nodes(_PANEL_ORDER)
+    x2, w2 = gauss_nodes(2 * _PANEL_ORDER)
+    mid = (lo + hi) * 0.5
+    half = (hi - lo) * 0.5
     un = mid[:, None] + half[:, None] * xn[None, :]
     u2 = mid[:, None] + half[:, None] * x2[None, :]
     fn = np.asarray(f(un.ravel())).reshape(un.shape)
@@ -177,11 +163,10 @@ def _eval_panels_native(f, panels, order) -> int:
     vn = (fn @ wn) * half
     v2 = (f2 @ w2) * half
     ai = (np.abs(f2) @ w2) * half
-    for i, p in enumerate(panels):
-        p.value = complex(v2[i])
-        p.err = float(abs(v2[i] - vn[i]))
-        p.absint = float(ai[i])
-    return un.size + u2.size
+    # hypot, not np.abs: numpy's complex abs loop can differ from the
+    # scalar abs in the last bit
+    d = v2 - vn
+    return v2, np.hypot(d.real, d.imag), ai, un.size + u2.size
 
 
 def _as_ddcomplex(fv) -> DDComplex:
@@ -204,14 +189,15 @@ def _wrap_native_as_dd(f) -> Callable:
     return g
 
 
-def _eval_panels_dd(f_dd, panels, order) -> int:
-    """Double-double analogue of _eval_panels_native, batched over panels."""
-    xn, wn = gauss_nodes_dd(order)
-    x2, w2 = gauss_nodes_dd(2 * order)
-    lo = np.array([[p.lo] for p in panels])
-    hi = np.array([[p.hi] for p in panels])
-    mid = (DD(lo, np.zeros_like(lo)) + DD(hi, np.zeros_like(hi))).scale2(0.5)
-    half = (DD(hi, np.zeros_like(hi)) - DD(lo, np.zeros_like(lo))).scale2(0.5)
+def _eval_panels_dd(f_dd, lo, hi):
+    """Double-double analogue of _eval_panels_native; the values come back
+    as four rows: re.hi, re.lo, im.hi and im.lo."""
+    xn, wn = gauss_nodes_dd(_PANEL_ORDER)
+    x2, w2 = gauss_nodes_dd(2 * _PANEL_ORDER)
+    zero = np.zeros((lo.size, 1))
+    lo_dd, hi_dd = DD(lo[:, None], zero), DD(hi[:, None], zero)
+    mid = (lo_dd + hi_dd).scale2(0.5)
+    half = (hi_dd - lo_dd).scale2(0.5)
     half_flat = DD(half.hi[:, 0], half.lo[:, 0])
     count = 0
     rules = []
@@ -223,18 +209,14 @@ def _eval_panels_dd(f_dd, panels, order) -> int:
         re = dd.reduce_sum(fv.re * w) * half_flat
         im = dd.reduce_sum(fv.im * w) * half_flat
         rules.append((re, im, fv))
-        count += len(panels) * np.asarray(x.hi).size
+        count += lo.size * np.asarray(x.hi).size
     (re_n, im_n, _), (re_2, im_2, fv2) = rules
     mag = dd.sqrt(fv2.re.sqr() + fv2.im.sqr())
     absint = dd.reduce_sum(mag * w2) * half_flat
-    for i, p in enumerate(panels):
-        p.value = DDComplex(DD(float(re_2.hi[i]), float(re_2.lo[i])),
-                            DD(float(im_2.hi[i]), float(im_2.lo[i])))
-        dre = float(re_2.hi[i] - re_n.hi[i]) + float(re_2.lo[i] - re_n.lo[i])
-        dim = float(im_2.hi[i] - im_n.hi[i]) + float(im_2.lo[i] - im_n.lo[i])
-        p.err = abs(complex(dre, dim))
-        p.absint = float(absint.hi[i] + absint.lo[i])
-    return count
+    dre = (re_2.hi - re_n.hi) + (re_2.lo - re_n.lo)
+    dim = (im_2.hi - im_n.hi) + (im_2.lo - im_n.lo)
+    return (np.stack([re_2.hi, re_2.lo, im_2.hi, im_2.lo]), np.hypot(dre, dim),
+            absint.hi + absint.lo, count)
 
 
 # ---------- driver ----------
@@ -271,53 +253,58 @@ def integrate_adaptive(
     use_dd = pc.mode == "extended"
     if use_dd:
         g_dd = f_dd if f_dd is not None else _wrap_native_as_dd(f)
-        evaluator = lambda ps: _eval_panels_dd(g_dd, ps, qc.panel_order)  # noqa: E731
+        evaluator = lambda lo, hi: _eval_panels_dd(g_dd, lo, hi)  # noqa: E731
     else:
-        evaluator = lambda ps: _eval_panels_native(f, ps, qc.panel_order)  # noqa: E731
+        evaluator = lambda lo, hi: _eval_panels_native(f, lo, hi)  # noqa: E731
 
-    panels = _initial_panels(a, b, max_panel_width)
-    evaluations = evaluator(panels)
+    # panel i is [lo[i], hi[i]], kept sorted by lo; vals holds complex
+    # values in native runs and rows re.hi, re.lo, im.hi, im.lo in extended
+    lo, hi = _initial_edges(a, b, max_panel_width)
+    depth = np.zeros(lo.size, dtype=int)
+    vals, err, absint, evaluations = evaluator(lo, hi)
     total_width = b - a
-
-    def current_value() -> complex:
-        if use_dd:
-            re = math.fsum(p.value.re.hi for p in panels) + math.fsum(p.value.re.lo for p in panels)
-            im = math.fsum(p.value.im.hi for p in panels) + math.fsum(p.value.im.lo for p in panels)
-            return complex(re, im)
-        return complex(math.fsum(p.value.real for p in panels),
-                       math.fsum(p.value.imag for p in panels))
 
     mode_eps = 2.0 ** -104 if use_dd else float(np.finfo(float).eps)
     while True:
-        value = current_value()
-        total_err = math.fsum(p.err for p in panels)
+        if use_dd:
+            value = complex(math.fsum(vals[0]) + math.fsum(vals[1]),
+                            math.fsum(vals[2]) + math.fsum(vals[3]))
+        else:
+            value = complex(math.fsum(vals.real), math.fsum(vals.imag))
+        total_err = math.fsum(err)
         tol = max(qc.abs_tol, qc.rel_tol * abs(value))
         # the arithmetic floor: no refinement can push the error of a sum
         # of rounded panel values below eps * int |f|; the 64 covers the
         # accumulation noise of the order-2n Gauss dot products themselves
-        if total_err <= max(tol, 64.0 * mode_eps * math.fsum(p.absint for p in panels)):
+        if total_err <= max(tol, 64.0 * mode_eps * math.fsum(absint)):
             break
-        to_split = [p for p in panels if p.err > tol * (p.hi - p.lo) / total_width
-                    and p.depth < qc.max_refinements]
-        if not to_split:
-            candidates = [p for p in panels if p.depth < qc.max_refinements]
-            if not candidates:
+        can_split = depth < _MAX_REFINEMENTS
+        split = (err > tol * (hi - lo) / total_width) & can_split
+        if not split.any():
+            if not can_split.any():
                 raise NonConvergence(
                     f"quadrature error {total_err:.3e} above tolerance {tol:.3e} at depth cap")
-            to_split = [max(candidates, key=lambda p: p.err)]
-        if len(panels) > _MAX_PANELS:
+            # no panel is over its share: halve the worst open one (the
+            # first of equals)
+            split[np.argmax(np.where(can_split, err, -np.inf))] = True
+        if lo.size > _MAX_PANELS:
             raise NonConvergence("panel count exploded; integrand likely too rough")
-        split_ids = {id(p) for p in to_split}
-        fresh = []
-        for p in to_split:
-            m = (p.lo + p.hi) * 0.5
-            fresh.append(_Panel(p.lo, m, p.depth + 1))
-            fresh.append(_Panel(m, p.hi, p.depth + 1))
-        evaluations += evaluator(fresh)
-        panels = sorted([p for p in panels if id(p) not in split_ids] + fresh,
-                        key=lambda p: p.lo)
+        mid = (lo[split] + hi[split]) * 0.5
+        new_lo = np.column_stack([lo[split], mid]).ravel()
+        new_hi = np.column_stack([mid, hi[split]]).ravel()
+        new_vals, new_err, new_absint, count = evaluator(new_lo, new_hi)
+        evaluations += count
+        keep = ~split
+        lo = np.concatenate([lo[keep], new_lo])
+        order = np.argsort(lo, kind="stable")
+        lo = lo[order]
+        hi = np.concatenate([hi[keep], new_hi])[order]
+        depth = np.concatenate([depth[keep], np.repeat(depth[split] + 1, 2)])[order]
+        err = np.concatenate([err[keep], new_err])[order]
+        absint = np.concatenate([absint[keep], new_absint])[order]
+        vals = np.concatenate([vals[..., keep], new_vals], axis=-1)[..., order]
 
-    abs_integral = math.fsum(p.absint for p in panels)
+    abs_integral = math.fsum(absint)
     ratio = abs(value) / abs_integral if abs_integral > 0 else 1.0
 
     if not use_dd and ratio < pc.escalate_threshold:
@@ -329,13 +316,10 @@ def integrate_adaptive(
 
     value_dd = None
     if use_dd:
-        re = dd.reduce_sum(DD(np.array([p.value.re.hi for p in panels]),
-                              np.array([p.value.re.lo for p in panels])))
-        im = dd.reduce_sum(DD(np.array([p.value.im.hi for p in panels]),
-                              np.array([p.value.im.lo for p in panels])))
+        re = dd.reduce_sum(DD(vals[0], vals[1]))
+        im = dd.reduce_sum(DD(vals[2], vals[3]))
         value_dd = DDComplex(re, im)
         value = complex(float(re), float(im))
 
-    err_total = math.fsum(p.err for p in panels)
-    return IntegralResult(value, err_total, abs_integral, evaluations, len(panels),
-                          False, ratio, pc.mode, value_dd)
+    return IntegralResult(value, math.fsum(err), abs_integral, evaluations,
+                          lo.size, False, ratio, pc.mode, value_dd)

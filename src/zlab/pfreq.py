@@ -177,7 +177,7 @@ class SchoenbergDensity:
             out = self._closed_form(a, order)
             return out if np.ndim(a) else float(out)
         qc = qc or QuadratureConfig()
-        T = qc.truncation_radius or self._quad_radius()
+        T = self._quad_radius()
         scalar = np.ndim(a) == 0
         a_arr = np.atleast_1d(np.asarray(a, dtype=float))
         params = self.params

@@ -169,7 +169,7 @@ def total_mass(
 ) -> IntegralResult:
     """Integrate rho over the line (two-sided; evenness is not assumed)."""
     qc = qc or QuadratureConfig()
-    radius = qc.truncation_radius or support_radius(spec)
+    radius = support_radius(spec)
     return integrate_adaptive(
         lambda u: density(spec, u),
         -radius,
@@ -215,9 +215,7 @@ def moments(
     if b < 0.0:
         raise InvalidSpec("b must be nonnegative")
     qc = qc or QuadratureConfig()
-    radius = qc.truncation_radius or support_radius(
-        spec, b=b, extra_log_pow=float(k_max)
-    )
+    radius = support_radius(spec, b=b, extra_log_pow=float(k_max))
     vals: list[float] = []
     errs: list[float] = []
     vals_dd: list[DD] = []

@@ -94,7 +94,7 @@ def eval_p(params: SchoenbergParams, t, pole_eps: float = 1e-8):
     Raises PoleProximity within pole_eps * max(1, |t|) of any pole and
     NonFinite when the Gaussian factor would overflow (possible only for
     complex t with |Im t| > |Re t| and d > 0) or the value is not finite
-    (t so large that t^2 overflows).
+    (d > 0 and t so large that t^2 overflows).
     """
     t_arr = np.asarray(t, dtype=complex)
     for pole in poles(params):
@@ -103,7 +103,10 @@ def eval_p(params: SchoenbergParams, t, pole_eps: float = 1e-8):
         if np.any(bad):
             raise PoleProximity(f"t within {pole_eps:g} of pole {pole}", pole=pole)
     with np.errstate(over="ignore", invalid="ignore"):
-        ex = 1j * params.omega * t_arr - params.d * (t_arr * t_arr)
+        ex = 1j * params.omega * t_arr
+        # without a Gaussian factor, t^2 may overflow where p is finite
+        if params.d:
+            ex = ex - params.d * (t_arr * t_arr)
         re_total = ex.real - params.coeff_sum * t_arr.imag
     if np.any(re_total > _EXP_CAP):
         raise NonFinite("characteristic function overflows at this argument")

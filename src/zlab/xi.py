@@ -397,7 +397,7 @@ def zeta_eta(s: complex) -> complex:
 _T_MAX = 60.0
 
 
-def zeta_critical_line(t: float, cfg: XiConfig | None = None) -> complex:
+def zeta_critical_line(t: float) -> complex:
     """zeta(1/2 + it) for |t| <= 60, relative error about 1e-12."""
     t = float(t)
     if abs(t) > _T_MAX:
@@ -406,7 +406,7 @@ def zeta_critical_line(t: float, cfg: XiConfig | None = None) -> complex:
     return zeta_eta(complex(0.5, t))
 
 
-def xi_from_zeta(z: float, cfg: XiConfig | None = None) -> complex:
+def xi_from_zeta(z: float) -> complex:
     """Reference value s(s-1)/2 pi^{-s/2} Gamma(s/2) zeta(s), s = 1/2 + iz.
 
     Real z only; this is the oracle the F route is measured against, so it
@@ -414,7 +414,7 @@ def xi_from_zeta(z: float, cfg: XiConfig | None = None) -> complex:
     """
     z = float(z)
     s = complex(0.5, z)
-    zeta = zeta_critical_line(z, cfg)
+    zeta = zeta_critical_line(z)
     pref = 0.5 * s * (s - 1.0)
     val = pref * cmath.exp(-0.5 * s * math.log(math.pi)) \
         * gamma_complex(0.5 * s) * zeta

@@ -188,7 +188,7 @@ def eval_quadrature(
     qc = qc or QuadratureConfig()
     z = complex(z)
     g, g_dd = zspec.weights()
-    U = qc.truncation_radius or zspec.radius(z.imag, pc)
+    U = zspec.radius(z.imag, pc)
 
     def f(u):
         return np.exp(1j * z * u) * g(u)

@@ -453,9 +453,43 @@ def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# one valid call per command whose adaptive quadrature the flags govern
+TOL_COMMANDS = [
+    ["z-eval", "--params", C1, "--z", "1"],
+    ["rho-mass", "--params", C1],
+    ["pf-eval", "--params", GAUSS, "--a-grid=-1:1:3"],
+    ["tp-check", "--params", C1],
+    ["z-verify", "--params", C1, "--zmax", "5"],
+    ["xi-zeros", "--zmax", "10"],
+]
+
+
 @pytest.mark.parametrize("argv", [
-    # t^2 overflows, and 0 * inf in the Gaussian factor makes p NaN
-    ["p-eval", "--params", C1, "--t", "1e308"],
+    [*cmd, flag, value] for cmd in TOL_COMMANDS
+    for flag in ("--abs-tol", "--rel-tol")
+    for value in ("nan", "inf", "0", "-1")
+] + [
+    # a tolerance so tight that xi's truncated tail would exceed it
+    ["xi-zeros", "--zmax", "10", "--abs-tol", "1e-80"],
+])
+def test_bad_tolerance_flags_exit_1(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("t", ["1e200", "1e308"])
+def test_p_eval_without_gaussian_is_finite_at_huge_t(tmp_path, t):
+    # with d = 0 no t^2 is formed: |p| = |e^{it} / (1 + it)| = 1/|t|
+    assert run(tmp_path, "p-eval", "--params", C1, "--t", t) == 0
+    abs_p = envelope(tmp_path, "p-eval")["payload"]["inline"]["abs_p"]
+    assert abs(abs_p * float(t) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    # the Gaussian factor e^{-d t^2} overflows at t = 1000i
+    ["p-eval", "--params", GAUSS, "--t", "0,1000"],
     # a rectangle too thin for the walk to resolve the argument
     ["z-verify", "--params", C1, "--zmax", "5", "--height", "1e-308"],
 ])

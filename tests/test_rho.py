@@ -10,7 +10,7 @@ import pytest
 
 from zlab.errors import InvalidSpec
 from zlab.numerics import ddouble as dd
-from zlab.numerics.quadrature import EXTENDED, QuadratureConfig
+from zlab.numerics.quadrature import EXTENDED
 from zlab.rho import (
     RhoSpec,
     density,
@@ -127,11 +127,3 @@ def test_support_radius_envelope():
     assert density(spec, r) * r < 1e-69
     # a linear growth term pushes the radius outward
     assert support_radius(spec, extra_linear=5.0) > r
-
-
-def test_truncation_radius_override():
-    spec = RhoSpec(SchoenbergParams(omega=1.0))
-    qc = QuadratureConfig(truncation_radius=6.0)
-    res = total_mass(spec, qc=qc)
-    # e^{-36} tail loss is invisible at this tolerance
-    assert abs(res.real - SQRT_PI[0]) < 1e-12

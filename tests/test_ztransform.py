@@ -158,11 +158,13 @@ def test_series_matches_quadrature():
 
 def test_series_moments_follow_the_quadrature_config():
     # a default call first: its moments must not be reused for a config
-    # that integrates over a different window
-    clipped = QuadratureConfig(truncation_radius=1.0)
+    # with other tolerances, so the second call misses the cache again
+    tight = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13)
     eval_series(GUE, 1.0, pc=EXTENDED)
-    a = eval_series(GUE, 1.0, qc=clipped, pc=EXTENDED).value.real
-    b = eval_quadrature(GUE, 1.0, qc=clipped, pc=EXTENDED).value.real
+    misses = ztransform._cached_moments.cache_info().misses
+    a = eval_series(GUE, 1.0, qc=tight, pc=EXTENDED).value.real
+    assert ztransform._cached_moments.cache_info().misses > misses
+    b = eval_quadrature(GUE, 1.0, qc=tight, pc=EXTENDED).value.real
     assert abs(a - b) <= 1e-12 * abs(b)
 
 
