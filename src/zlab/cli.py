@@ -39,15 +39,19 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, InvalidSpec, ZlabError
 from .numerics.quadrature import NATIVE, PrecisionConfig, QuadratureConfig
-from .pfreq import SchoenbergDensity, TabulatedDensity, check_pf_minors
+from .pfreq import (
+    MAX_DENSITY_EVALS,
+    SchoenbergDensity,
+    TabulatedDensity,
+    check_pf_minors,
+)
 from .randmat import (
     HermitianMatrix,
     SpectralSample,
     compare_zero_spacings,
-    eigenvalues,
     empirical_char_fn,
     product_char_fn,
-    sample_gue,
+    sample_spectra,
     spacing_report_to_json,
     spacing_stats,
 )
@@ -221,6 +225,9 @@ def _cmd_p_eval(args, qc, pc, outdir):
 def _cmd_pf_eval(args, qc, pc, outdir):
     params = _load_params(args.params)
     lo, hi, n = _parse_grid(args.a_grid)
+    if n > MAX_DENSITY_EVALS:
+        raise InvalidSpec(f"--a-grid needs {n} density evaluations, past "
+                          f"the cap of {MAX_DENSITY_EVALS}")
     grid = np.linspace(lo, hi, n)
     dens = SchoenbergDensity(params)
     vals = dens.eval(grid, qc=qc, pc=pc)
@@ -244,7 +251,10 @@ def _read_density_csv(path: str) -> TabulatedDensity:
     rows = list(csv.reader(io.StringIO(p.read_text())))
     if not rows or rows[0] != ["a", "f"]:
         raise InvalidSpec('density CSV must carry the header "a,f"')
-    data = [(float(r[0]), float(r[1])) for r in rows[1:] if r]
+    try:
+        data = [(float(r[0]), float(r[1])) for r in rows[1:] if r]
+    except (ValueError, IndexError):
+        raise InvalidSpec("density rows must be two numbers a,f")
     return TabulatedDensity([a for a, _ in data], [f for _, f in data])
 
 
@@ -433,11 +443,9 @@ def _cmd_gue_sample(args, qc, pc, outdir):
         raise InvalidSpec("--n and --samples must be positive")
     config = {"command": "gue-sample", "n": args.n,
               "samples": args.samples, "seed": args.seed}
-    rows = []
-    for idx in range(args.samples):
-        sample = eigenvalues(sample_gue(args.n, args.seed, index=idx))
-        rows.extend((idx, k, repr(lam))
-                    for k, lam in enumerate(sample.eigenvalues))
+    rows = [(idx, k, repr(lam)) for idx, sample
+            in enumerate(sample_spectra(args.n, args.samples, args.seed))
+            for k, lam in enumerate(sample.eigenvalues)]
     text = _csv_text(_SPECTRA_HEADER, rows)
     name = f"spectra-{_config_hash(config)[:12]}.csv"
     (outdir / name).write_text(text)

@@ -209,6 +209,17 @@ def test_tp_check_bimodal_violation_exits_3(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["x,1", "5", "5,nan"])
+def test_tp_check_bad_density_rows_exit_1(tmp_path, capsys, row):
+    # a NaN value would make every minor NaN and the scan pass silently
+    dens = tmp_path / "bad.csv"
+    dens.write_text("a,f\r\n" + "".join(f"{k},1\r\n" for k in range(5))
+                    + row + "\r\n")
+    assert run(tmp_path, "tp-check", "--density", str(dens)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_tp_check_requires_exactly_one_source(tmp_path):
     assert run(tmp_path, "tp-check", "--grid=-1:1:5") == 1
     assert run(tmp_path, "tp-check", "--params", GAUSS,
@@ -443,6 +454,12 @@ def test_inadmissible_measure_rejected_before_transform(tmp_path):
      "--seed", "-1"],
     ["tp-check", "--params", C1, "--order", "5", "--grid-size", "12",
      "--seed", "-1"],
+    # sizes past the density-evaluation and spectrum caps, refused before
+    # any array is allocated
+    ["tp-check", "--params", C1, "--grid-size", "1000000000000"],
+    ["tp-check", "--params", C1, "--grid=-2:2:100000"],
+    ["pf-eval", "--params", C1, "--a-grid=-2:2:1000000000000"],
+    ["gue-sample", "--n", "1000000000", "--samples", "1", "--seed", "0"],
 ])
 def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
     xfile = tmp_path / "x.csv"

@@ -11,7 +11,7 @@ from zlab.errors import (
     NonIntegrableTransform,
     NonSmoothPoint,
 )
-from zlab.numerics.ddouble import DD
+from zlab.numerics import ddouble as dd
 from zlab.numerics.quadrature import QuadratureConfig, integrate_adaptive
 from zlab.pfreq import (
     CallableDensity,
@@ -141,16 +141,23 @@ def test_quadrature_route_mean_is_omega():
 
 
 def test_det_dd_pivoting_and_oracle():
-    rows = [[DD(0.0, 0.0), DD(1.0, 0.0), DD(2.0, 0.0)],
-            [DD(1.0, 0.0), DD(0.0, 0.0), DD(0.0, 0.0)],
-            [DD(0.0, 0.0), DD(0.0, 0.0), DD(1.0, 0.0)]]
-    assert det_dd(rows).to_float() == -1.0
+    # a row swap (det -1) beside two singular lanes: a zero first column,
+    # and a zero pivot that appears only after a swap and one elimination
+    stack = np.array([[[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                      [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]],
+                      [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 0.0]]])
+    det = det_dd(dd.from_array(stack))
+    assert det.to_float().tolist() == [-1.0, 0.0, 0.0]
+    assert (det.hi[1:] == 0.0).all() and (np.signbit(det.hi[1:]) == 0).all()
+    # every lane equals its matrix factored alone: no lane leaks into another
+    for k in range(3):
+        alone = det_dd(dd.from_array(stack[k:k + 1]))
+        assert (alone.hi[0], alone.lo[0]) == (det.hi[k], det.lo[k])
     # order-2 translation minor of the normal density on x = y = (0, 1):
     # phi(0)^2 - phi(1)^2 = (1 - e^{-1}) / (2 pi)
-    M = [[DD(float(phi(0.0)), 0.0), DD(float(phi(-1.0)), 0.0)],
-         [DD(float(phi(1.0)), 0.0), DD(float(phi(0.0)), 0.0)]]
+    M = np.array([[[phi(0.0), phi(-1.0)], [phi(1.0), phi(0.0)]]])
     ref = (1.0 - math.exp(-1.0)) / (2.0 * math.pi)
-    assert abs(det_dd(M).to_float() - ref) < 1e-16
+    assert abs(det_dd(dd.from_array(M)).to_float()[0] - ref) < 1e-16
 
 
 def test_normal_density_minors_pass():
@@ -214,12 +221,95 @@ def test_minor_scan_validation():
         check_pf_minors(CallableDensity(phi), order=2)  # no window anywhere
     with pytest.raises(InvalidSpec):
         check_derivative_minors(src, (0.0,), order=2)  # too few points
+    for max_minors in (0, -5):  # would pass having checked nothing
+        with pytest.raises(InvalidSpec):
+            check_pf_minors(src, order=2, grid_size=5, max_minors=max_minors)
     # a NaN tolerance would pass every sign test `norm < -tol`
     for tol in (math.nan, math.inf, -5.0):
         with pytest.raises(InvalidSpec):
             check_pf_minors(src, order=2, grid_size=5, tol=tol)
         with pytest.raises(InvalidSpec):
             check_derivative_minors(src, (-1.0, 0.0, 1.0), order=2, tol=tol)
+
+
+# Reports frozen from the scalar per-minor LU that the batched det_dd
+# replaced; each case drives one path of the scan, and every field must
+# match bit for bit.
+C5 = (0.20557239806084904, 0.44862861950961297, 1.5495856200188163)
+GRID = np.arange(-4.0, 4.01, 0.1)
+BUMPS = np.exp(-4 * (GRID + 2) ** 2) + np.exp(-4 * (GRID - 2) ** 2)
+FROZEN_REPORTS = [
+    pytest.param(
+        lambda: check_pf_minors(SchoenbergDensity(SchoenbergParams(
+            coeffs=C5)), order=3, grid_size=10, tol=1e-9),
+        "TPReport(order=3, passed=True, min_minor=0.0, "
+        "min_minor_normalized=0.0, argmin_x=(-6.505066631919078, "
+        "-5.537416268640372, -1.666814815525547), argmin_y=("
+        "-6.505066631919078, -5.537416268640372, -4.569765905361666), "
+        "minors_checked=14400, tol=1e-09, exhaustive=True, violations=0)",
+        id="zero-pivots-beyond-support-edge"),
+    pytest.param(
+        lambda: check_pf_minors(TabulatedDensity(GRID, BUMPS), order=2,
+                                window=(-3.5, 3.5), grid_size=10),
+        "TPReport(order=2, passed=False, min_minor=-0.4111389799160587, "
+        "min_minor_normalized=-0.9999999999998768, argmin_x=(-3.5, "
+        "-1.1666666666666665), argmin_y=(-3.5, -1.1666666666666665), "
+        "minors_checked=2025, tol=1e-10, exhaustive=True, violations=391)",
+        id="violations-bimodal-control"),
+    pytest.param(
+        lambda: check_pf_minors(SchoenbergDensity(SchoenbergParams(d=0.5)),
+                                order=4, window=(-2.0, 2.0), grid_size=14,
+                                max_minors=400, seed=3),
+        "TPReport(order=4, passed=True, min_minor=2.8389923708059873e-11, "
+        "min_minor_normalized=1.4889286070991741e-09, argmin_x=(-2.0, "
+        "-1.6923076923076923, -1.3846153846153846, -1.0769230769230769), "
+        "argmin_y=(-1.3846153846153846, 1.076923076923077, "
+        "1.6923076923076925, 2.0), minors_checked=400, tol=1e-10, "
+        "exhaustive=False, violations=0)",
+        id="sampled-order-4-quadrature"),
+    pytest.param(
+        lambda: check_pf_minors(SchoenbergDensity(SchoenbergParams(
+            d=0.2, coeffs=(0.5,))), order=2, grid_size=10),
+        "TPReport(order=2, passed=False, min_minor=-4.332455605488652e-33, "
+        "min_minor_normalized=-4.881893046732708e-05, argmin_x=("
+        "2.5082579661373265, 3.22490309931942), argmin_y=("
+        "-3.22490309931942, -2.508257966137327), minors_checked=2025, "
+        "tol=1e-10, exhaustive=True, violations=1)",
+        id="quadrature-noise-violation"),
+    pytest.param(
+        lambda: check_pf_minors(SchoenbergDensity(SchoenbergParams(
+            coeffs=(1.0,))), order=5, grid_size=8),
+        "TPReport(order=5, passed=True, min_minor=-1.1949724512846096e-18, "
+        "min_minor_normalized=-8.682003539150847e-17, argmin_x=(-4.0, "
+        "-2.571428571428571, -0.4285714285714284, 0.2857142857142856, 1.0), "
+        "argmin_y=(-2.571428571428571, -1.8571428571428572, "
+        "-1.1428571428571428, -0.4285714285714284, 0.2857142857142856), "
+        "minors_checked=3136, tol=1e-10, exhaustive=True, violations=0)",
+        id="order-5"),
+    pytest.param(
+        lambda: check_derivative_minors(
+            SchoenbergDensity(SchoenbergParams(coeffs=(1.0, 0.5))),
+            np.linspace(-3.0, 0.5, 7), order=3),
+        "DerivMinorReport(order=3, passed=True, "
+        "min_minor=-5.926316995573599e-19, argmin_x=(-2.4166666666666665, "
+        "-0.6666666666666665, 0.5), y=0.0, minors_checked=35, tol=1e-08, "
+        "method='exact')",
+        id="derivative-exact"),
+    pytest.param(
+        lambda: check_derivative_minors(
+            CallableDensity(phi, window=(-3.0, 3.0)),
+            (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5), order=4),
+        "DerivMinorReport(order=4, passed=True, "
+        "min_minor=0.0012369393590355808, argmin_x=(-2.5, -1.5, 1.5, 2.5), "
+        "y=0.0, minors_checked=15, tol=1e-08, "
+        "method='central-differences')",
+        id="derivative-central-differences"),
+]
+
+
+@pytest.mark.parametrize("scan, frozen", FROZEN_REPORTS)
+def test_minor_reports_bit_for_bit(scan, frozen):
+    assert repr(scan()) == frozen
 
 
 # ---------- tabulated sources ----------
@@ -254,6 +344,8 @@ def test_tabulated_validation():
         TabulatedDensity(g, np.ones(10), interp="pchip")
     with pytest.raises(InvalidSpec):
         TabulatedDensity(g[:3], np.ones(3))
+    with pytest.raises(InvalidSpec):  # NaN spreads through the spline
+        TabulatedDensity(g, np.where(g == g[5], np.nan, 1.0))
 
 
 def test_term_evaluator_support():

@@ -25,6 +25,7 @@ from zlab.randmat import (
     poisson_cdf,
     product_char_fn,
     sample_gue,
+    sample_spectra,
     spacing_report_to_json,
     spacing_stats,
     unfolded_spacings,
@@ -59,6 +60,16 @@ def test_sampler_determinism():
     c = sample_gue(5, 17, index=4)
     assert np.array_equal(a.entries, b.entries)
     assert not np.array_equal(a.entries, c.entries)
+
+
+def test_spectra_size_caps():
+    # refused before a matrix or a sample loop starts
+    with pytest.raises(InvalidSpec, match="cap"):
+        sample_gue(10 ** 9, 0)
+    with pytest.raises(InvalidSpec, match="cap"):
+        sample_spectra(4, 10 ** 9, 0)
+    spectra = sample_spectra(5, 3, 17)
+    assert spectra[2] == eigenvalues(sample_gue(5, 17, index=2))
 
 
 def test_sampler_entry_statistics():
