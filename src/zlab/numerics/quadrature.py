@@ -2,11 +2,13 @@
 
 Each panel is integrated at order 16 and 32; a panel whose discrepancy
 exceeds its width's share of the tolerance is halved, up to 12 halvings
-of an initial panel.  The panels of a run live in parallel arrays (lo, hi,
-depth, error, int|f| and value), so a refinement round is one mask, one
-batched integrand call on the new halves and one stable sort by lo.  The
-native path evaluates integrands vectorized in float64 and accumulates
-with exact summation; the extended path reruns the same machinery in
+of an initial panel; a run stops with NonConvergence as soon as the
+panels at that cap alone hold more error than the tolerance.  The panels
+of a run live in parallel arrays (lo, hi, depth, error, int|f| and
+value), so a refinement round is one mask, one batched integrand call on
+the new halves and one stable sort by lo.  The native path evaluates
+integrands vectorized in float64 and accumulates with exact summation;
+the extended path reruns the same machinery in
 double-double arithmetic, with nodes and weights Newton-polished in-repo
 from float64 seeds.  Everything is deterministic: identical inputs give
 bit-identical results for a fixed precision mode.
@@ -130,10 +132,10 @@ def gauss_nodes_dd(order: int) -> tuple[DD, DD]:
 # ---------- panel evaluation ----------
 
 
-def _initial_edges(a: float, b: float,
-                   max_panel_width: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of the initial panels: at least 4, none wider than
-    max_panel_width."""
+def panel_edges(a: float, b: float,
+                max_panel_width: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of equal panels on [a, b]: at least 4, none wider than
+    max_panel_width, and more than _MAX_PANELS refused before allocation."""
     width = b - a
     count = 4
     if max_panel_width is not None and max_panel_width > 0:
@@ -259,7 +261,7 @@ def integrate_adaptive(
 
     # panel i is [lo[i], hi[i]], kept sorted by lo; vals holds complex
     # values in native runs and rows re.hi, re.lo, im.hi, im.lo in extended
-    lo, hi = _initial_edges(a, b, max_panel_width)
+    lo, hi = panel_edges(a, b, max_panel_width)
     depth = np.zeros(lo.size, dtype=int)
     vals, err, absint, evaluations = evaluator(lo, hi)
     total_width = b - a
@@ -276,14 +278,19 @@ def integrate_adaptive(
         # the arithmetic floor: no refinement can push the error of a sum
         # of rounded panel values below eps * int |f|; the 64 covers the
         # accumulation noise of the order-2n Gauss dot products themselves
-        if total_err <= max(tol, 64.0 * mode_eps * math.fsum(absint)):
+        target = max(tol, 64.0 * mode_eps * math.fsum(absint))
+        if total_err <= target:
             break
         can_split = depth < _MAX_REFINEMENTS
+        # panels at the depth cap keep their error for good, so once it
+        # alone passes the target no later round can stop
+        capped_err = math.fsum(err[~can_split])
+        if capped_err > target:
+            raise NonConvergence(
+                f"quadrature error {capped_err:.3e} of panels at the depth "
+                f"cap is above tolerance {target:.3e}")
         split = (err > tol * (hi - lo) / total_width) & can_split
         if not split.any():
-            if not can_split.any():
-                raise NonConvergence(
-                    f"quadrature error {total_err:.3e} above tolerance {tol:.3e} at depth cap")
             # no panel is over its share: halve the worst open one (the
             # first of equals)
             split[np.argmax(np.where(can_split, err, -np.inf))] = True

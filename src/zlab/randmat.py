@@ -20,6 +20,7 @@ gaps and eigenvalue gaps can be compared descriptively.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +128,13 @@ _MAX_N = 2000
 # costliest size per unit, and 14 s for 1250 at n = 200 on a 2-vCPU Xeon.
 _MAX_SPECTRA_WORK = 10 ** 10
 
+# samples * max(n, 4)**2 per call of empirical_char_fn, refused before the
+# first chunk is drawn.  Sizes below 4 count as 4: the per-sample overhead
+# and the sample array would otherwise let the count grow without bound.
+# Just under the cap, 250 000 samples at n = 32 took 12.2 s (one thread, a
+# shared 2-vCPU Xeon); 2 * 10**6 samples at n = 2 are an eighth of it.
+_MAX_CHAR_WORK = 256 * 10 ** 6
+
 
 def sample_gue(n: int, rng_seed: int, index: int = 0) -> HermitianMatrix:
     """One draw from density 1/z * exp(-tr(A^2)/2) on n x n Hermitians."""
@@ -218,8 +226,19 @@ def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
         raise InvalidSpec("seed must be nonnegative")
     if not threads >= 1:
         raise InvalidSpec("threads must be at least 1")
+    # the pool starts up to one thread per chunk, each holding a chunk's
+    # arrays, and threads past the CPUs buy nothing; four stay allowed on
+    # any host, so results can be checked for thread-count invariance
+    cap = max(4, os.cpu_count() or 1)
+    if threads > cap:
+        raise InvalidSpec(f"threads {threads} is past the cap of {cap} "
+                          f"(os.cpu_count(), at least 4)")
     if samples < 2:
         raise InsufficientData("need at least 2 samples")
+    work = samples * max(n, 4) ** 2
+    if work > _MAX_CHAR_WORK:
+        raise InvalidSpec(f"samples * max(n, 4)^2 = {work:.3g} is past the "
+                          f"cap of {_MAX_CHAR_WORK:.3g}")
     xa = np.asarray(x.entries)
     chunks = [(ci, min(_CHUNK, samples - ci * _CHUNK))
               for ci in range((samples + _CHUNK - 1) // _CHUNK)]

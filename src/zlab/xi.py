@@ -14,9 +14,10 @@ Dirichlet eta series (zeta_critical_line) and the Gamma factor, sharing no
 code with the F path.
 
 Zero location reuses the ztransform scan/polish/verify machinery by
-plugging F in as the weight: evenness lets the scan work with F(|u|),
-which is legitimate only because the evenness check runs on directly
-computed negative-u values first.  xi_eval itself never assumes evenness.
+plugging F in as the weight: evenness lets the scan and the boundary
+walk work with F(|u|), which is legitimate only because the evenness
+check runs on directly computed negative-u values first.  xi_eval itself
+never assumes evenness.
 
 For u < 0 the series loses accuracy to cancellation: the true value decays
 doubly exponentially while individual terms stay O(1), so the computed

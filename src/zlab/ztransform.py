@@ -15,9 +15,18 @@ per precision mode, evaluated over the z grid in whole-array chunks)
 locates sign changes on [0, z_max], classifies sub-noise stretches
 honestly instead of inventing zeros in decayed tails, then polishes each
 credible candidate by a cell-guarded Halley iteration on the same rule in
-double-double.  A rectangle count walks the boundary argument by adaptive
-quadrature, sharing no evaluator with the scan, and verify_reality
-compares the two on the largest resolvable window.
+double-double.  A rectangle count walks the boundary argument, sharing
+no evaluator with the scan, and verify_reality compares the two on the
+largest resolvable window.  The walk and the top-edge probes that pick
+that window evaluate Z by one fixed rule per rectangle
+(numerics.evenrule):
+composite Gauss-Legendre panels of order 16 and 32 on [0, U], the even
+weight folded onto u >= 0 so that points sharing Im z share one cosh/sinh
+row and Z(conj z) = conj Z(z) is exact, the weight evaluated once, and
+each generation of boundary points taken in one batch through
+eval_quadrature.  A point whose order-16/32 estimate fails the adaptive
+stopping test falls back to adaptive quadrature alone, in the walk's own
+mode with escalation off.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .errors import (
 )
 from .numerics import ddouble as dd
 from .numerics.ddouble import DD, DDComplex
+from .numerics.evenrule import EvenTransformRule
 from .numerics.quadrature import (
     NATIVE,
     PrecisionConfig,
@@ -183,8 +193,19 @@ def eval_quadrature(
     z: complex,
     qc: QuadratureConfig | None = None,
     pc: PrecisionConfig = NATIVE,
+    rule: EvenTransformRule | None = None,
 ) -> ZValue:
-    """Z_b(z) by adaptive panels over the full two-sided support."""
+    """Z_b(z) by quadrature.
+
+    Without a rule, z is one point, integrated by adaptive panels over the
+    full two-sided support.  With a rule built for zspec by _boundary_rule,
+    z is an array of points evaluated together on the rule's fixed panels,
+    in the rule's own mode and tolerances, and the ZValue holds arrays.
+    """
+    if rule is not None:
+        values, errors = rule(z)
+        return ZValue(z=z, value=values, error=errors, method="boundary rule",
+                      mode="extended" if rule.extended else "native")
     qc = qc or QuadratureConfig()
     z = complex(z)
     g, g_dd = zspec.weights()
@@ -553,17 +574,49 @@ def find_real_zeros(
 # ---------- rectangle count by boundary argument ----------
 
 
+def _boundary_rule(zspec: ZSpec, x_max: float, y_max: float,
+                   qc: QuadratureConfig, pc: PrecisionConfig):
+    """points -> (values, errors) for the boundary points of a rectangle
+    with |Re z| <= x_max and |Im z| <= y_max: each batch goes through
+    eval_quadrature on one rule, truncated at zspec's radius for y_max.  A
+    point the rule cannot resolve goes alone through adaptive quadrature in
+    the same mode with escalation off, so a native value is never silently
+    replaced by an extended one and its error stays at the native floor."""
+    pc_alone = PrecisionConfig(pc.mode, escalate_threshold=0.0)
+
+    def fallback(z: complex) -> tuple[complex, float]:
+        res = eval_quadrature(zspec, z, qc=qc, pc=pc_alone)
+        return res.value, res.error
+
+    rule = EvenTransformRule(zspec.weights(), zspec.radius(y_max, pc), x_max,
+                             qc, pc, fallback)
+
+    def zfun(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        res = eval_quadrature(zspec, points, rule=rule)
+        return res.value, res.error
+
+    return zfun
+
+
 def walk_winding(zfun, rect: Rect, spacing: float,
                  max_points: int = 20000) -> int:
     """Winding number of an analytic function around a rectangle boundary.
 
-    zfun(p) must return (value, error_bound) at the complex point p.  The
-    walk keeps every argument increment below pi/2 by inserting midpoints;
-    a boundary point whose magnitude is within ten times its error bound
-    raises BoundaryTooCloseToZero, a segment no longer than 1e-12 that
-    still turns by pi/2 or more raises NonConvergence, and a non-integer
-    winding raises NonIntegerResult.  Shared by the transform machinery
-    here and by any other even entire function with a pointwise evaluator.
+    zfun(points) must return (values, error_bounds) as arrays at an array
+    of complex points; the walk calls it once per generation.  The first
+    generation is three points per expected zero spacing on each edge.
+    Every segment whose argument turns by pi/2 or more is halved, and the
+    midpoints of one generation are evaluated together, so a segment is
+    judged only between evaluated points.  At most max_points segments
+    are judged in all.  A boundary point whose magnitude is within ten
+    times its error bound raises BoundaryTooCloseToZero, a segment no
+    longer than 1e-12 that still turns by pi/2 or more raises
+    NonConvergence, and a winding farther than 0.1 from an integer raises
+    NonIntegerResult.  Shared by the transform machinery here and by any
+    other even entire function with a batched evaluator; count_zeros_rect
+    passes the rectangle's one fixed panel rule on the folded even weight,
+    which evaluates only Im z >= 0, conjugates the rest and sends a point
+    it cannot resolve to adaptive quadrature alone.
     """
     corners = [complex(rect.x0, rect.y0), complex(rect.x1, rect.y0),
                complex(rect.x1, rect.y1), complex(rect.x0, rect.y1),
@@ -576,40 +629,46 @@ def walk_winding(zfun, rect: Rect, spacing: float,
         n = max(8, int(math.ceil(3.0 * seg_len / spacing)))
         for k in range(n):
             pts.append(a + (bp - a) * (k / n))
-    pts.append(corners[0])
 
-    cache: dict[complex, complex] = {}
+    def zval(p: np.ndarray) -> np.ndarray:
+        values, errors = zfun(p)
+        bad = np.flatnonzero(np.abs(values) < 10.0 * errors)
+        if bad.size:
+            i = bad[0]
+            raise BoundaryTooCloseToZero(
+                f"|Z({p[i]:g})| = {abs(values[i]):.3e} is within 10x the "
+                f"evaluation error {errors[i]:.3e}")
+        return values
 
-    def zval(p: complex) -> complex:
-        if p not in cache:
-            value, err = zfun(p)
-            if abs(value) < 10.0 * err:
-                raise BoundaryTooCloseToZero(
-                    f"|Z({p:g})| = {abs(value):.3e} is within 10x the "
-                    f"evaluation error {err:.3e}")
-            cache[p] = value
-        return cache[p]
-
+    a = np.array(pts)
+    b = np.roll(a, -1)  # the last segment closes at the first corner
+    processed = a.size
+    if processed > max_points:
+        raise NonConvergence("boundary refinement budget exhausted")
+    fa = zval(a)
+    fb = np.roll(fa, -1)
     total = 0.0
-    stack = list(zip(pts[:-1], pts[1:]))
-    processed = 0
-    while stack:
-        a, bp = stack.pop()
-        processed += 1
+    while True:
+        dphi = np.array([math.remainder(d, 2.0 * math.pi)
+                         for d in np.angle(fb) - np.angle(fa)])
+        turn = np.abs(dphi) >= 0.5 * math.pi
+        total += math.fsum(dphi[~turn])
+        if not turn.any():
+            break
+        a, b, fa, fb, dphi = a[turn], b[turn], fa[turn], fb[turn], dphi[turn]
+        short = np.flatnonzero(~(np.abs(b - a) > 1e-12))
+        if short.size:
+            i = short[0]
+            raise NonConvergence(
+                f"argument still turns {abs(dphi[i]):.3g} rad on the "
+                f"segment {a[i]:g} -> {b[i]:g}")
+        processed += 2 * a.size
         if processed > max_points:
             raise NonConvergence("boundary refinement budget exhausted")
-        dphi = math.remainder(np.angle(zval(bp)) - np.angle(zval(a)),
-                              2.0 * math.pi)
-        if abs(dphi) >= 0.5 * math.pi:
-            if not abs(bp - a) > 1e-12:
-                raise NonConvergence(
-                    f"argument still turns {abs(dphi):.3g} rad on the "
-                    f"segment {a:g} -> {bp:g}")
-            m = 0.5 * (a + bp)
-            stack.append((a, m))
-            stack.append((m, bp))
-            continue
-        total += dphi
+        m = 0.5 * (a + b)
+        fm = zval(m)
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
     winding = total / (2.0 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > 0.1:
@@ -625,19 +684,13 @@ def count_zeros_rect(
     pc: PrecisionConfig = NATIVE,
     max_points: int = 20000,
 ) -> int:
-    """Winding number of Z_b around the rectangle boundary."""
-    qc = qc or QuadratureConfig()
-    spacing = _spacing_estimate(zspec, pc)
-    # the walk only consumes arguments of Z, so escalation would buy
-    # nothing but runtime; window selection in verify_reality uses the
-    # same non-escalating errors, keeping the two mutually consistent
-    pc_walk = PrecisionConfig(pc.mode, escalate_threshold=0.0)
-
-    def zfun(p: complex):
-        res = eval_quadrature(zspec, p, qc=qc, pc=pc_walk)
-        return res.value, res.error
-
-    return walk_winding(zfun, rect, spacing, max_points=max_points)
+    """Winding number of Z_b around the rectangle boundary, every point
+    evaluated by the rectangle's one boundary rule."""
+    zfun = _boundary_rule(zspec, max(abs(rect.x0), abs(rect.x1)),
+                          max(abs(rect.y0), abs(rect.y1)),
+                          qc or QuadratureConfig(), pc)
+    return walk_winding(zfun, rect, _spacing_estimate(zspec, pc),
+                        max_points=max_points)
 
 
 # ---------- reality verification ----------
@@ -667,26 +720,20 @@ def verify_reality(
     qc = qc or QuadratureConfig()
     table = find_real_zeros(zspec, z_max, pc=pc)
     spacing = _spacing_estimate(zspec, pc)
-    # probe with the boundary walk's own precision (no escalation) so the
-    # selected window is exactly the region the walk can resolve
-    pc_walk = PrecisionConfig(pc.mode, escalate_threshold=0.0)
 
-    def edge_ok(x: float) -> bool:
-        res = eval_quadrature(zspec, complex(x, delta), qc=qc, pc=pc_walk)
-        return abs(res.value) > 30.0 * res.error
-
-    # probe the top edge from z_max inward for the last resolvable x
+    # probe the top edge from z_max inward for the last resolvable x, in
+    # one batch on the boundary walk's kind of rule, so the selected
+    # window is exactly the region the walk can resolve
     n_probe = 40
     xs = np.linspace(z_max, max(z_max / n_probe, 1e-3), n_probe)
-    x_res = 0.0
-    for x in xs:
-        if edge_ok(float(x)):
-            x_res = float(x)
-            break
-    if x_res == 0.0:
+    values, errors = _boundary_rule(zspec, z_max, delta, qc, pc)(
+        xs + 1j * delta)
+    resolved = np.flatnonzero(np.abs(values) > 30.0 * errors)
+    if not resolved.size:
         raise PrecisionExhausted(
             f"no boundary point on [0, {z_max:g}] x {{{delta:g}i}} is "
             f"resolvable in {pc.mode} mode")
+    x_res = float(xs[resolved[0]])
 
     n_rect = None
     for shift in (0.0, -0.25 * spacing, -0.5 * spacing, -0.75 * spacing):

@@ -164,6 +164,19 @@ def test_z_verify_failure_exits_4(tmp_path, monkeypatch):
     assert inline["passed"] is False
 
 
+def test_z_verify_height_past_the_weight_decay(tmp_path):
+    # at height 3 the widest single-factor weight has int|f| ~ 1e52 on a
+    # 195-long support; the boundary rule resolves the top edge up to
+    # x = 1.5, which holds the one real zero of the closed form
+    assert run(tmp_path, "z-verify", "--params", '{"coeffs": [0.02]}',
+               "--zmax", "20", "--height", "3") == 0
+    inline = envelope(tmp_path, "z-verify")["payload"]["inline"]
+    assert inline["passed"] is True and inline["window"] == [0.0, 1.5]
+    assert inline["n_real"] == inline["n_rect"] == 1
+    c = 0.02
+    assert 0.0 < math.sqrt(4.0 * c + 2.0 * c) < inline["window"][1]
+
+
 def test_z_flow_trajectory_csv(tmp_path):
     assert run(tmp_path, "z-flow", "--params", C1, "--b-grid", "0,1.0",
                "--zmax", "8") == 0
@@ -460,6 +473,9 @@ def test_inadmissible_measure_rejected_before_transform(tmp_path):
     ["tp-check", "--params", C1, "--grid=-2:2:100000"],
     ["pf-eval", "--params", C1, "--a-grid=-2:2:1000000000000"],
     ["gue-sample", "--n", "1000000000", "--samples", "1", "--seed", "0"],
+    # more threads than CPUs; a single sample never reaches a thread pool
+    ["gue-char", "--n", "1", "--X", "{x}", "--samples", "1", "--seed", "5",
+     "--threads", "100000"],
 ])
 def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
     xfile = tmp_path / "x.csv"

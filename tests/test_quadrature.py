@@ -1,6 +1,7 @@
 """Adaptive Gauss-Legendre: exactness, oscillatory handling, escalation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -161,6 +162,17 @@ def test_extended_mode_with_dd_integrand():
     err = abs((got - dd.DD(*OSC_GAUSS_Z10)).to_float())
     assert err / OSC_GAUSS_Z10[0] < 1e-13
     assert res.mode == "extended"
+
+
+def test_depth_cap_error_past_tolerance_raises_at_once():
+    # once the panel holding the jump reaches the depth cap, its error
+    # alone passes the tolerance: the run stops there, not after halving
+    # every other panel first
+    t0 = time.perf_counter()
+    with pytest.raises(NonConvergence, match="depth cap"):
+        integrate_adaptive(lambda u: np.sign(u - 0.3), -1.0, 1.0,
+                           QuadratureConfig(abs_tol=3e-7, rel_tol=1e-300))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_panel_budget_exhaustion_raises():

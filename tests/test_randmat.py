@@ -163,6 +163,21 @@ def test_char_fn_monte_carlo_rate():
     assert 3.0 < se_a / se_b < 5.0
 
 
+def test_char_fn_work_cap():
+    # refused before the first chunk is drawn
+    from zlab import randmat
+    with pytest.raises(InvalidSpec, match="cap"):
+        empirical_char_fn(2, matrix_unit(2, 0),
+                          randmat._MAX_CHAR_WORK // 16 + 1, rng_seed=0)
+
+
+def test_char_fn_thread_cap():
+    # refused before any thread pool exists
+    with pytest.raises(InvalidSpec, match="cap"):
+        empirical_char_fn(2, matrix_unit(2, 0), 100, rng_seed=0,
+                          threads=10 ** 5)
+
+
 def test_char_fn_thread_count_invariance():
     a = empirical_char_fn(4, matrix_unit(4, 1), 10_000, rng_seed=9, threads=1)
     b = empirical_char_fn(4, matrix_unit(4, 1), 10_000, rng_seed=9, threads=3)

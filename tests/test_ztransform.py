@@ -251,7 +251,7 @@ def test_boundary_below_noise_floor_refused():
 
 def test_walk_budget_exhaustion():
     def fast_phase(p):
-        return cmath.exp(40.0j * p.real) + 0.0j + 2.0, 1e-300
+        return np.exp(40.0j * p.real) + 2.0, np.full(p.shape, 1e-300)
 
     with pytest.raises(NonConvergence):
         walk_winding(fast_phase, Rect(0.0, 10.0, -1.0, 1.0), 0.3,
@@ -262,7 +262,8 @@ def test_walk_refuses_a_quarter_turn_it_cannot_resolve():
     # the argument jumps by pi across x = 5.3 on the bottom edge: halving
     # never resolves it, and the turn is refused rather than added
     def jump(p):
-        return (1.0 if p.real < 5.3 else -1.0) + 0.0j, 1e-300
+        return (np.where(p.real < 5.3, 1.0, -1.0) + 0.0j,
+                np.full(p.shape, 1e-300))
 
     with pytest.raises(NonConvergence, match="turns"):
         walk_winding(jump, Rect(0.0, 10.0, -1.0, 1.0), 0.3)
@@ -282,6 +283,119 @@ def test_verify_reality_gaussian_tail_is_honest():
     assert rep.n_real == rep.n_rect == 0
     assert rep.window[1] < 20.0  # native floor cuts the window short
     assert rep.tail_note != ""
+
+
+@pytest.mark.parametrize("pc", [NATIVE, EXTENDED], ids=["native", "dd"])
+@pytest.mark.parametrize("b, delta, passed, n_real, n_rect", [
+    (0.3, 1.0, False, 0, 2),  # the collided pair, z ~ 2.82 -+ 0.40i
+    (0.3, 0.3, True, 0, 0),   # the same pair outside the strip
+    (0.1, 1.0, True, 2, 2),   # before the collision: two real zeros
+])
+def test_walk_negative_control(b, delta, passed, n_real, n_rect, pc):
+    # a weight outside Newman's class: the winding count must see the
+    # non-real zeros its closed form puts inside the strip
+    a = 1.0 + b
+    if 16.0 * a * a > 24.0:
+        s2 = 6.0 - 1j * math.sqrt(16.0 * a * a - 24.0)
+        assert (abs(cmath.sqrt(a * s2).imag) < delta) is not passed
+    rep = verify_reality(BumpSource(b), 6.0, delta=delta, pc=pc)
+    assert rep.window == (0.0, 6.0)
+    assert (rep.passed, rep.n_real, rep.n_rect) == (passed, n_real, n_rect)
+
+
+@pytest.mark.parametrize("params, z_max, delta, x_res, count", [
+    ({"omega": -3.0, "d": 0.5}, 30.0, 3.0, 30.0, 20),
+    ({"omega": -8.0, "d": 0.5}, 30.0, 3.0, 30.0, 28),
+    ({"omega": -20.0, "d": 0.5}, 30.0, 2.0, 30.0, 43),
+    ({"d": 0.5, "m": 2}, 20.0, 3.0, 20.0, 9),
+    ({"coeffs": (1.0,), "m": 3}, 20.0, 3.0, 12.5, 4),
+    ({"omega": -6.0, "d": 0.25, "coeffs": (0.5,), "m": 1}, 30.0, 3.0,
+     30.0, 34),
+])
+def test_verify_reality_wider_parameter_class(params, z_max, delta, x_res,
+                                              count):
+    # omega < 0 and m > 0, beyond criterion 4's draws
+    rep = verify_reality(ZSpec(RhoSpec(SchoenbergParams(**params))), z_max,
+                         delta=delta)
+    assert rep.passed and rep.n_real == rep.n_rect == count
+    assert rep.window == (0.0, x_res)
+
+
+@pytest.mark.parametrize("coeffs, b", [
+    ((0.509261,), 0.0), ((0.671974, 0.866318), 1.0),
+    ((1.106744, 0.668208, 0.513521), 0.3)])
+def test_certify_draws_need_no_adaptive_quadrature(monkeypatch, coeffs, b):
+    # every probe and walk point of a criterion-4 draw passes the boundary
+    # rule's own stopping test, so no point is integrated alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the boundary rule fell back to adaptive "
+                             "quadrature")
+
+    monkeypatch.setattr(ztransform, "integrate_adaptive", refuse)
+    rep = verify_reality(ZSpec(RhoSpec(SchoenbergParams(coeffs=coeffs)), b),
+                         20.0, delta=3.0)
+    assert rep.passed and rep.n_real == rep.n_rect
+
+
+class KinkSource(BumpSource):
+    """g(u) = e^{-u^2} (1 + ||u| - 1|): even, with kinks at u = -+1 that
+    no fixed panel resolves."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def weights(self):
+        def g(u):
+            u = np.asarray(u, float)
+            return np.exp(-u * u) * (1.0 + np.abs(np.abs(u) - 1.0))
+
+        def g_dd(u):
+            return dd.exp(u.sqr() * -1.0) * (abs(abs(u) - 1.0) + 1.0)
+
+        return g, g_dd
+
+
+def _count_fallbacks(monkeypatch):
+    """Record the ZValue of every point eval_quadrature integrates alone."""
+    alone = []
+
+    def counting(zspec, z, qc=None, pc=NATIVE, rule=None):
+        res = eval_quadrature(zspec, z, qc=qc, pc=pc, rule=rule)
+        if rule is None:
+            alone.append(res)
+        return res
+
+    monkeypatch.setattr(ztransform, "eval_quadrature", counting)
+    return alone
+
+
+def test_boundary_rule_falls_back_where_its_estimate_fails(monkeypatch):
+    alone = _count_fallbacks(monkeypatch)
+    src = KinkSource()
+    zs = np.array([1.5 - 0.5j, 0.5 + 0.5j])
+    values, errors = ztransform._boundary_rule(
+        src, 2.0, 0.5, QuadratureConfig(), NATIVE)(zs)
+    # only the upper half-plane is evaluated; the lower point is its mirror
+    assert [r.z for r in alone] == [0.5 + 0.5j, 1.5 + 0.5j]
+    for z, v, e in zip(zs, values, errors):
+        ref = eval_quadrature(src, complex(z.real, abs(z.imag)))
+        assert (v, e) == ((ref.value.conjugate() if z.imag < 0 else
+                           ref.value), ref.error)
+
+
+def test_native_fallback_is_never_escalated(monkeypatch):
+    # at 20 + 10i, |Z| / int|f| ~ 5e-10: alone at the default native
+    # config the point would be recomputed in double-double, but a walk
+    # point must keep the native error its window is judged by
+    z = 20.0 + 10.0j
+    assert eval_quadrature(KinkSource(), z).escalated
+    alone = _count_fallbacks(monkeypatch)
+    values, errors = ztransform._boundary_rule(
+        KinkSource(), 20.0, 10.0, QuadratureConfig(), NATIVE)(np.array([z]))
+    assert [(r.z, r.mode, r.escalated) for r in alone] == [
+        (z, "native", False)]
+    assert (values[0], errors[0]) == (alone[0].value, alone[0].error)
+    assert errors[0] > 1e-6 * abs(values[0])
 
 
 def test_scan_classifies_noise_not_zeros():
