@@ -42,6 +42,10 @@ _CHUNK = 1 << 16  # matrix entries per batched determinant pass
 # Density evaluations per command (grid_size^2 in tp-check, N in pf-eval):
 # 9801 {"d":0.5} quadratures, grid size 99, took 24 s on a 2-vCPU Xeon.
 MAX_DENSITY_EVALS = 10_000
+# Initial quadrature panels of one SchoenbergDensity.eval with d > 0, about
+# 4T max(1, |a|)/pi per value a: pf-eval of {"d":0.5} on --a-grid
+# 1700:1770:5 (97 700 panels) took 22 s on a 2-vCPU Xeon.
+_MAX_DENSITY_PANELS = 100_000
 
 
 # ---------- hypoexponential term lists ----------
@@ -186,6 +190,10 @@ class SchoenbergDensity:
         T = self._quad_radius()
         scalar = np.ndim(a) == 0
         a_arr = np.atleast_1d(np.asarray(a, dtype=float))
+        panels = 4.0 * T / math.pi * np.maximum(1.0, np.abs(a_arr)).sum()
+        if not panels <= _MAX_DENSITY_PANELS:
+            raise InvalidSpec(f"{panels:.3g} initial quadrature panels are "
+                              f"past the cap of {_MAX_DENSITY_PANELS}")
         params = self.params
         out = np.empty(a_arr.shape, dtype=float)
         for i, ai in enumerate(a_arr):

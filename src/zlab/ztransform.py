@@ -324,11 +324,9 @@ def eval_series(
     if abs(value) <= err:
         raise SeriesDivergence(
             f"series cancellation fatal at z = {z:g} in "
-            f"{'extended' if extended else 'native'} mode: "
-            f"value {value:.3e}, noise {err:.3e}")
+            f"{pc.mode} mode: value {value:.3e}, noise {err:.3e}")
     return ZValue(z=z, value=complex(value, 0.0), error=err,
-                  method="series",
-                  mode="extended" if extended else "native")
+                  method="series", mode=pc.mode)
 
 
 # ---------- route 3: hypergeometric closed form (quartic weight) ----------
@@ -354,8 +352,7 @@ def eval_gue_hypergeom(z: float, pc: PrecisionConfig = NATIVE) -> ZValue:
     amplitude envelope (so no digits of the answer survive).
     """
     z = float(z)
-    extended = pc.mode == "extended"
-    if extended:
+    if pc.mode == "extended":
         zeta = DD(z, 0.0) * dd.sqrt(dd.SQRT2)  # 2^{1/4} z
         x = dd.powi(zeta, 4) * DD(1.0 / 256.0, 0.0)
         f1 = hyper0f2(0.5, 0.75, x, pc=pc, rel_tol=1e-34)
@@ -385,8 +382,7 @@ def eval_gue_hypergeom(z: float, pc: PrecisionConfig = NATIVE) -> ZValue:
             f"hypergeometric cancellation at z = {z:g}: noise {err:.3e} "
             f"vs amplitude envelope {env:.3e} in {pc.mode} mode")
     return ZValue(z=z, value=complex(value, 0.0), error=err,
-                  method="hypergeom",
-                  mode="extended" if extended else "native")
+                  method="hypergeom", mode=pc.mode)
 
 
 # ---------- scan rule ----------
@@ -529,7 +525,6 @@ def find_real_zeros(
     noise_regions = [(float(zs[i]), float(zs[j - 1])) for i, j in
                      zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
-    mode = "extended" if pc.mode == "extended" else "native"
     zeros: list[Zero] = []
     rejected = 0
     # sign changes with neither end inside a recorded noise region
@@ -567,7 +562,7 @@ def find_real_zeros(
                 f"zero spacing {gaps.min():.3g} is close to the scan step "
                 f"{h:.3g}; rerun with a smaller step",
                 StepTooCoarseWarning)
-    return ZeroTable(b=zspec.b, z_max=z_max, step=h, mode=mode,
+    return ZeroTable(b=zspec.b, z_max=z_max, step=h, mode=pc.mode,
                      zeros=zeros, noise_regions=noise_regions, notes=notes)
 
 
@@ -822,11 +817,13 @@ def flow_zeros(
 
 # ---------- zero table wire formats ----------
 
+ZERO_TABLE_HEADER = ["b", "k", "z_k", "residual", "derivative"]
+
 
 def zero_table_to_csv(table: ZeroTable) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(["b", "k", "z_k", "residual", "derivative"])
+    w.writerow(ZERO_TABLE_HEADER)
     for zr in table.zeros:
         w.writerow([repr(table.b), zr.index, repr(zr.z),
                     repr(zr.residual), repr(zr.derivative)])
@@ -835,7 +832,7 @@ def zero_table_to_csv(table: ZeroTable) -> str:
 
 def zero_table_from_csv(text: str) -> list[Zero]:
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["b", "k", "z_k", "residual", "derivative"]:
+    if not rows or rows[0] != ZERO_TABLE_HEADER:
         raise InvalidSpec("zero table CSV must carry the standard header")
     return [Zero(index=int(r[1]), z=float(r[2]), residual=float(r[3]),
                  derivative=float(r[4])) for r in rows[1:] if r]

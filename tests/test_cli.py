@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from zlab.cli import main
-from zlab.ztransform import RealityReport, ZeroTable
+from zlab.ztransform import RealityReport
 
 GAUSS = '{"d": 0.5}'
 C1 = '{"coeffs": [1.0]}'
@@ -370,18 +370,17 @@ def test_xi_zeros_first_zero_and_cache(tmp_path, capsys):
     assert "cache hit" in capsys.readouterr().out
 
 
-def test_xi_zeros_mismatch_exits_4_fresh_and_cached(tmp_path, monkeypatch,
-                                                   capsys):
-    import zlab.cli as cli
-    bad = ZeroTable(b=0.0, z_max=16.0, step=0.1, mode="native",
-                    zeros=[], noise_regions=[],
-                    notes=["winding count on [0, 16] x [-2, 2]: "
-                           "1 vs 0 real zero(s) (MISMATCH)"])
-    monkeypatch.setattr(cli, "xi_zeros", lambda *a, **k: bad)
-    argv = ["xi-zeros", "--zmax", "16"]
+def test_xi_zeros_mismatch_exits_4_fresh_and_cached(tmp_path, capsys):
+    # at b = 0.5 two zeros below 50 have left the real axis: the winding
+    # count sees them, the scan cannot
+    argv = ["xi-zeros", "--zmax", "50", "--b", "0.5", "--precision", "dd"]
+    note = "10 vs 8 real zero(s) (MISMATCH)"
     assert run(tmp_path, *argv) == 4
+    out = capsys.readouterr().out
+    assert "cache hit" not in out and note in out
     assert run(tmp_path, *argv) == 4
-    assert "cache hit" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "cache hit" in out and note in out
 
 
 def test_xi_flow_moves_first_zero_up(tmp_path):
@@ -396,6 +395,57 @@ def test_xi_flow_moves_first_zero_up(tmp_path):
 
 def test_xi_zeros_range_cap_exits_1(tmp_path):
     assert run(tmp_path, "xi-zeros", "--zmax", "55") == 1
+
+
+# ---------- the shared flags each command reads ----------
+
+SHARED_FLAGS = {"--precision": ["native"], "--abs-tol": ["1e-12"],
+                "--rel-tol": ["1e-10"], "--force": [], "--threads": ["1"]}
+QUADRATURE = ("--precision", "--abs-tol", "--rel-tol")
+# a cheap valid argv per command, and the shared flags it declares
+COMMANDS = {
+    "p-eval": (["--params", GAUSS, "--t", "1"], ()),
+    "pf-eval": (["--params", GAUSS, "--a-grid=-1:1:3"], QUADRATURE),
+    "tp-check": (["--params", C1, "--grid-size", "4"], QUADRATURE),
+    "rho-mass": (["--params", C1], QUADRATURE),
+    "z-eval": (["--params", C1, "--z", "1"], QUADRATURE),
+    "z-zeros": (["--params", C1, "--zmax", "4"], ("--precision", "--force")),
+    "z-verify": (["--params", C1, "--zmax", "4"], QUADRATURE),
+    "z-flow": (["--params", C1, "--b-grid", "0,0.5", "--zmax", "4"],
+               ("--precision",)),
+    "gue-sample": (["--n", "4", "--samples", "2", "--seed", "1"], ()),
+    "gue-char": (["--n", "1", "--X", "{x}", "--samples", "10", "--seed", "1"],
+                 ("--threads",)),
+    "spacings": (["--input", "{zeros}", "--reference", "poisson"], ()),
+    "xi-zeros": (["--zmax", "15"], (*QUADRATURE, "--force")),
+    "xi-flow": (["--b-grid", "0,0.25", "--zmax", "15"], ("--precision",)),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_takes_only_the_shared_flags_it_reads(tmp_path, capsys,
+                                                           command):
+    xfile, zfile = tmp_path / "x.csv", tmp_path / "zeros.csv"
+    xfile.write_text("c0\r\n(1+0j)\r\n")
+    zfile.write_text("b,k,z_k,residual,derivative\r\n" + "".join(
+        f"0.0,{k},{k + 1 + 0.01 * math.sin(3.7 * k)!r},1e-16,1.0\r\n"
+        for k in range(30)))
+    args, declared = COMMANDS[command]
+    argv = [command, *(str(xfile) if a == "{x}" else
+                       str(zfile) if a == "{zeros}" else a for a in args)]
+    for flag, value in SHARED_FLAGS.items():
+        if flag not in declared:
+            out = tmp_path / flag
+            assert run(out, *argv, flag, *value) == 1
+            assert capsys.readouterr().err.startswith("error:")
+            assert not list(out.glob("*.json"))
+    out = tmp_path / "declared"
+    assert run(out, *argv, *(a for flag in declared
+                             for a in (flag, *SHARED_FLAGS[flag]))) == 0
+    config = envelope(out, command)["config"]
+    assert ("precision" in config) == ("--precision" in declared)
+    assert ("abs_tol" in config) == ("rel_tol" in config) \
+        == ("--abs-tol" in declared)
 
 
 # ---------- argument and validation failures ----------
@@ -476,6 +526,10 @@ def test_inadmissible_measure_rejected_before_transform(tmp_path):
     # more threads than CPUs; a single sample never reaches a thread pool
     ["gue-char", "--n", "1", "--X", "{x}", "--samples", "1", "--seed", "5",
      "--threads", "100000"],
+    # initial quadrature panels past the cap: the panel width shrinks as
+    # 1/|a|, so these would run for hours
+    ["pf-eval", "--params", GAUSS, "--a-grid=-1000:1000:9999"],
+    ["tp-check", "--params", GAUSS, "--grid=-500:500:99"],
 ])
 def test_non_finite_or_non_positive_numbers_exit_1(tmp_path, capsys, argv):
     xfile = tmp_path / "x.csv"
