@@ -513,7 +513,9 @@ _SHARED_FLAGS = {
                   "help": "quadrature relative tolerance"},
     "--force": {"action": "store_true",
                 "help": "recompute even on a cache hit"},
-    "--threads": {"type": int, "default": 1},
+    "--threads": {"type": int, "default": 1,
+                  "help": "checked against the CPU count; gue-char runs "
+                          "on one thread"},
 }
 # adaptive quadrature, and the walk's and probes' stopping test; the zero
 # tables scan, bracket and polish on their own trapezoid rule

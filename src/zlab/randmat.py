@@ -10,6 +10,10 @@ returned.
 empirical_char_fn Monte-Carlo-checks the product law: the ensemble average
 of e^{i tr(XA)} equals prod_j p(t_j) over the eigenvalues t_j of the test
 matrix X, with p the single-entry characteristic function e^{-t^2/2}.
+Sample k comes from stream k // 4096; the draws run in blocks of at most
+2^16 matrix entries per array, and the sums are exact block by block and
+rounded once, so memory is 16 bytes per sample plus one block and the
+estimate does not depend on the block size.
 
 spacing_stats unfolds bulk eigenvalues by the exact semicircle cumulative
 law and measures Kolmogorov-Smirnov distance to a named reference;
@@ -19,6 +23,7 @@ gaps and eigenvalue gaps can be compared descriptively.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -111,8 +116,9 @@ class SpacingReport:
 
 
 def _matrix_rng(seed: int, index: int) -> np.random.Generator:
-    # one independent stream per matrix: replayable at any index without
-    # generating earlier draws
+    # one independent stream per matrix (per 4096 samples in
+    # empirical_char_fn): replayable at any index without generating
+    # earlier draws
     return np.random.default_rng(np.random.SeedSequence(seed,
                                                         spawn_key=(index,)))
 
@@ -129,10 +135,11 @@ _MAX_N = 2000
 _MAX_SPECTRA_WORK = 10 ** 10
 
 # samples * max(n, 4)**2 per call of empirical_char_fn, refused before the
-# first chunk is drawn.  Sizes below 4 count as 4: the per-sample overhead
+# first block is drawn.  Sizes below 4 count as 4: the per-sample overhead
 # and the sample array would otherwise let the count grow without bound.
-# Just under the cap, 250 000 samples at n = 32 took 12.2 s (one thread, a
-# shared 2-vCPU Xeon); 2 * 10**6 samples at n = 2 are an eighth of it.
+# Just under the cap, 250 000 samples at n = 32 took 14-16 s at 44 MB peak
+# RSS on a shared 2-vCPU Xeon; 2 * 10**6 samples at n = 2 are an eighth of
+# the work and took 0.5-0.7 s at 71 MB.
 _MAX_CHAR_WORK = 256 * 10 ** 6
 
 
@@ -195,21 +202,79 @@ def product_char_fn(x: HermitianMatrix) -> complex:
         out *= v
     return out
 
-_CHUNK = 4096  # fixed per-stream block so results are thread-count free
+_CHUNK = 4096  # samples per generator stream: part of every result
+
+# Matrix entries per drawn array.  Draws are made in blocks of at most this
+# many entries of g and of h, so memory does not grow with n^2 * samples.
+_BLOCK = 1 << 16
+
+# Values per exact-sum block: each is scaled below 2^35, so 2^16 of them
+# add to an integer below 2^51, exact in any order.
+_SUM_BLOCK = 1 << 16
+_SUM_BITS = 35
 
 
-def _char_chunk(n: int, x: np.ndarray, seed: int, chunk_idx: int,
-                count: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=(chunk_idx,)))
-    g = rng.standard_normal((count, n, n))
-    hmat = rng.standard_normal((count, n, n))
-    # A = (G + G^T)/2 + i (H - H^T)/2: diagonal variance 1, off-diagonal
-    # parts variance 1/2 each, matching the entrywise sampler's law
-    re = 0.5 * (g + np.transpose(g, (0, 2, 1)))
-    im = 0.5 * (hmat - np.transpose(hmat, (0, 2, 1)))
-    tr = np.einsum("ij,kji->k", x, re + 1j * im)
-    return np.exp(1j * np.real(tr))
+def _char_draws(n: int, seed: int, samples: int):
+    """Yield (start, g, h) for consecutive runs of samples, in order.
+
+    Stream k // _CHUNK draws all of its g entries, (count, n, n) standard
+    normals, and then all of its h entries.  A stream that fits in one
+    block is drawn whole.  A larger one is cut into sub-blocks, and its h
+    entries come from a copy of its generator that first discards the
+    stream's g entries: the ziggurat's word count per normal is not fixed,
+    so PCG64.advance cannot find that offset.  g and h are views of two
+    reused buffers, valid until the next step.
+    """
+    per = max(1, _BLOCK // (n * n))
+    g = np.empty((min(per, _CHUNK, samples), n, n))
+    h = np.empty_like(g)
+    for stream, lo in enumerate(range(0, samples, _CHUNK)):
+        count = min(_CHUNK, samples - lo)
+        rng = rng_h = _matrix_rng(seed, stream)
+        if count > per:
+            rng_h = copy.deepcopy(rng)
+            for off in range(0, count, per):
+                rng_h.standard_normal(out=h[:min(per, count - off)])
+        for off in range(0, count, per):
+            m = min(per, count - off)
+            rng.standard_normal(out=g[:m])
+            rng_h.standard_normal(out=h[:m])
+            yield lo + off, g[:m], h[:m]
+
+
+def _exact_parts(v: np.ndarray) -> list[float]:
+    """Floats whose exact sum is the exact sum of v (at most 2^16 values).
+
+    Each pass scales v by 2^k so that every |v 2^k| < 2^35, rounds to
+    integers hi, adds them exactly with np.sum and keeps the residual
+    v - hi 2^-k, which is exact; it stops when the residual is all zero.
+    A block of zeros gives its IEEE sum, -0.0 only if every zero is -0.0.
+    A block holding a non-finite value or one of magnitude 2^1000 or more
+    is returned as it stands, so math.fsum sees those values themselves.
+    """
+    m = float(np.max(np.abs(v)))
+    if m == 0.0:
+        return [float(np.sum(v))]
+    if not m < 2.0 ** 1000:
+        return v.tolist()
+    parts = []
+    while m > 0.0:
+        k = _SUM_BITS - math.frexp(m)[1]
+        hi = np.rint(np.ldexp(v, k))
+        parts.append(math.ldexp(float(np.sum(hi)), -k))
+        v = v - np.ldexp(hi, -k)
+        m = float(np.max(np.abs(v)))
+    return parts
+
+
+def _fsum(blocks) -> float:
+    """math.fsum over every value of the blocks, without a Python float
+    per value: both are the correctly rounded exact sum."""
+    return math.fsum(p for b in blocks for p in _exact_parts(b))
+
+
+def _sum_blocks(a: np.ndarray):
+    return (a[s:s + _SUM_BLOCK] for s in range(0, len(a), _SUM_BLOCK))
 
 
 def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
@@ -217,8 +282,14 @@ def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
                       ) -> tuple[complex, float]:
     """Monte Carlo mean of e^{i tr(XA)} with its 1-sigma standard error.
 
-    Sample index k always lives in stream k // 4096, so the estimate is
-    bit-identical for any thread count.
+    Sample k comes from stream k // 4096, whose generator draws the
+    stream's g entries and then its h entries.  The draws run in blocks of
+    at most 2^16 matrix entries per array, and each block's values go into
+    one complex array, so memory is 16 bytes per sample plus one block.
+    The mean and the squared deviations are summed exactly, block by
+    block, and rounded once, as math.fsum would.  The estimate is the same
+    bit for bit at any block size.  It runs on one thread; threads is
+    checked against its cap but changes neither the result nor the time.
     """
     if x.n != n:
         raise InvalidSpec("test matrix size must match n")
@@ -226,9 +297,7 @@ def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
         raise InvalidSpec("seed must be nonnegative")
     if not threads >= 1:
         raise InvalidSpec("threads must be at least 1")
-    # the pool starts up to one thread per chunk, each holding a chunk's
-    # arrays, and threads past the CPUs buy nothing; four stay allowed on
-    # any host, so results can be checked for thread-count invariance
+    # kept for the command line's --threads; four stay allowed on any host
     cap = max(4, os.cpu_count() or 1)
     if threads > cap:
         raise InvalidSpec(f"threads {threads} is past the cap of {cap} "
@@ -240,23 +309,18 @@ def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
         raise InvalidSpec(f"samples * max(n, 4)^2 = {work:.3g} is past the "
                           f"cap of {_MAX_CHAR_WORK:.3g}")
     xa = np.asarray(x.entries)
-    chunks = [(ci, min(_CHUNK, samples - ci * _CHUNK))
-              for ci in range((samples + _CHUNK - 1) // _CHUNK)]
-
-    def run(job):
-        ci, cnt = job
-        return _char_chunk(n, xa, rng_seed, ci, cnt)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(job) for job in chunks]
-    vals = np.concatenate(parts)
-    # order-independent aggregation: exact compensated sums per component
-    mean = complex(math.fsum(vals.real), math.fsum(vals.imag)) / samples
-    var = math.fsum(np.abs(vals - mean) ** 2) / (samples - 1)
+    vals = np.empty(samples, dtype=complex)
+    for start, g, h in _char_draws(n, rng_seed, samples):
+        # A = (G + G^T)/2 + i (H - H^T)/2: diagonal variance 1, off-diagonal
+        # parts variance 1/2 each, matching the entrywise sampler's law
+        re = 0.5 * (g + np.transpose(g, (0, 2, 1)))
+        im = 0.5 * (h - np.transpose(h, (0, 2, 1)))
+        tr = np.einsum("ij,kji->k", xa, re + 1j * im)
+        vals[start:start + len(g)] = np.exp(1j * np.real(tr))
+    mean = complex(_fsum(_sum_blocks(vals.real)),
+                   _fsum(_sum_blocks(vals.imag))) / samples
+    var = _fsum(np.abs(b - mean) ** 2 for b in _sum_blocks(vals)) \
+        / (samples - 1)
     return mean, math.sqrt(var / samples)
 
 

@@ -6,6 +6,9 @@ eigvalsh call on the raw array.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +185,104 @@ def test_char_fn_thread_count_invariance():
     a = empirical_char_fn(4, matrix_unit(4, 1), 10_000, rng_seed=9, threads=1)
     b = empirical_char_fn(4, matrix_unit(4, 1), 10_000, rng_seed=9, threads=3)
     assert a == b
+
+
+# (args, repr of (mean, se)) recorded from the unblocked estimator, which
+# drew each 4096-sample stream whole and summed with math.fsum
+_PINNED_CHAR = [
+    # 49 streams, the last one partial; several streams to a block
+    ((2, diag_matrix([1.0, 1.0]), 200_000, 7),
+     "((0.3682915921204441+0.000626862224690556j), 0.0020789002285382767)"),
+    # each stream cut into sub-blocks
+    ((32, diag_matrix(np.linspace(-1.0, 1.0, 32)), 5000, 2),
+     "((-0.0001516117872419001+0.0013403513853980698j), "
+     "0.01414353718216241)"),
+    # sub-blocks again, with off-diagonal complex entries, so the h draws
+    # (read only off the diagonal) reach the result
+    ((5, HermitianMatrix(np.array(
+        [[0, 0.3 + 0.2j, 0, 0, 0], [0.3 - 0.2j, 0, 0, 0, 0],
+         [0, 0, 0.5, 0, 0], [0, 0, 0, 0, -0.4j], [0, 0, 0, 0.4j, 0]])),
+      5000, 3),
+     "((0.6553678725307072-0.011138248563935846j), 0.010681600888172492)"),
+    ((1, HermitianMatrix(np.array([[1.0]])), 2000, 5),
+     "((0.6242622644099257+0.0033906169406173244j), 0.017472699049698007)"),
+    ((3, HermitianMatrix(np.zeros((3, 3), dtype=complex)), 100, 1),
+     "((1+0j), 0.0)"),
+]
+
+
+def test_char_fn_pinned_bit_for_bit():
+    for args, expected in _PINNED_CHAR:
+        assert repr(empirical_char_fn(*args)) == expected
+
+
+@pytest.mark.parametrize("block", [2 ** 6, 2 ** 10, 2 ** 16])
+def test_char_fn_block_size_invariance(monkeypatch, block):
+    # every lane of a block does the same operations whatever the block
+    # holds, so the draw block size never reaches the result
+    from zlab import randmat
+    monkeypatch.setattr(randmat, "_BLOCK", block)
+    for args, expected in _PINNED_CHAR:
+        assert repr(empirical_char_fn(*args)) == expected
+
+
+def test_char_fn_memory_is_bounded():
+    # the unblocked estimator peaked at 411 MB RSS on this call, with its
+    # six (2000, 64, 64) arrays per stream
+    import zlab
+    code = ("import resource\n"
+            "from zlab.randmat import diag_matrix, empirical_char_fn\n"
+            "empirical_char_fn(64, diag_matrix([0.1] * 64), 2000, 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(zlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert int(out.split()[-1]) < 150 * 1024  # ru_maxrss is in KiB
+
+
+def _fsum_by_parts(values, block=2 ** 16):
+    from zlab import randmat
+    v = np.asarray(values, dtype=float)
+    return randmat._fsum(v[s:s + block] for s in range(0, len(v), block))
+
+
+@pytest.mark.parametrize("name", ["wide", "subnormal", "alternating",
+                                  "single"])
+def test_exact_block_sums_equal_fsum(name):
+    rng = np.random.default_rng(17)
+    if name == "wide":
+        # 1e-300 to 1 with heavy cancellation: every value and its negation
+        # times (1 + 2^-52), across three blocks
+        mags = 10.0 ** rng.uniform(-300.0, 0.0, 70_000)
+        signs = rng.choice([-1.0, 1.0], len(mags))
+        v = np.concatenate([mags * signs,
+                            -mags * signs * (1.0 + 2.0 ** -52)])
+        v = v[rng.permutation(len(v))]
+    elif name == "subnormal":
+        tiny = 5e-324 * rng.integers(1, 2 ** 20, 5000).astype(float)
+        v = np.concatenate([tiny, -tiny[::2], [0.0, -0.0, 2.2e-308],
+                            np.full(7, -0.0)])
+    elif name == "alternating":
+        # one block whose exact sum is 1 + 2^-53 + 3e-300: the tiny term
+        # breaks the tie, so the correctly rounded sum is 1 + 2^-52
+        v = np.tile([1.0, -1.0], 2 ** 15)
+        v[0], v[-2], v[-1] = 2.0, 2.0 ** -53, 3e-300
+    else:
+        v = np.array([0.1])
+    assert repr(_fsum_by_parts(v)) == repr(math.fsum(v.tolist()))
+    assert repr(_fsum_by_parts(v, block=97)) == repr(math.fsum(v.tolist()))
+
+
+def test_exact_block_sums_keep_fsum_signs_of_zero():
+    for v in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]):
+        assert repr(_fsum_by_parts(v)) == repr(math.fsum(v))
+
+
+def test_exact_block_sums_pass_non_finite_and_huge_values_to_fsum():
+    for v in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 0.5, 2.0],
+              [2.0 ** 1010, 1.0, -(2.0 ** 1010)], [1e305, -1e305, 3.0]):
+        assert repr(_fsum_by_parts(v)) == repr(math.fsum(v))
 
 
 def test_spacing_stats_ensemble():
