@@ -11,8 +11,10 @@ Each subcommand accepts only the shared flags it reads (_COMMANDS), and
 the config records exactly the flags a command reads, except output
 location, --threads and --force: none of them may change a result.
 
-Exit codes: 0 success, 1 argument or specification errors, 2 numerical
-failures, 3 a total-positivity violation found by tp-check, 4 a reality
+Exit codes: 0 success, 1 argument or specification errors, among them a
+size past its cap (tp-check checks every minor of its grid, and refuses a
+grid with too many), 2 numerical failures, 3 a total-positivity violation
+found by tp-check, 4 a reality
 verification FAIL from z-verify or a scan/winding MISMATCH in an xi-zeros
 table (fresh or cached).  A MISMATCH can be a non-real zero in the strip,
 which the winding count sees and the real-axis scan cannot, not only a
@@ -31,6 +33,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -58,7 +61,7 @@ from .randmat import (
     spacing_stats,
 )
 from .rho import RhoSpec, total_mass
-from .schoenberg import eval_p, params_from_dict, params_to_dict, validate
+from .schoenberg import eval_p, params_from_json, params_to_dict, validate
 from .xi import XiConfig, xi_flow, xi_zeros
 from .ztransform import (
     ZERO_TABLE_HEADER,
@@ -125,17 +128,11 @@ def _parse_float_list(text: str) -> list[float]:
 def _load_params(text: str):
     """Inline JSON (starts with '{') or a path to a JSON file."""
     if text.lstrip().startswith("{"):
-        raw = text
-    else:
-        path = Path(text)
-        if not path.is_file():
-            raise InvalidSpec(f"params file not found: {text}")
-        raw = path.read_text()
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"params JSON does not parse: {exc}")
-    return params_from_dict(obj)
+        return params_from_json(text)
+    path = Path(text)
+    if not path.is_file():
+        raise InvalidSpec(f"params file not found: {text}")
+    return params_from_json(path.read_text())
 
 
 def _validated_spec(params) -> RhoSpec:
@@ -303,18 +300,17 @@ def _cmd_tp_check(args, qc, pc):
         lo, hi, grid_size = _parse_grid(args.grid)
         window = (lo, hi)
     rep = check_pf_minors(source, order=args.order, window=window,
-                          grid_size=grid_size, tol=args.tol,
-                          seed=args.seed, qc=qc, pc=pc)
+                          grid_size=grid_size, tol=args.tol, qc=qc, pc=pc)
     config = {**source_desc, "order": args.order,
               "grid": list(window) if window else None,
-              "grid_size": grid_size, "tol": args.tol, "seed": args.seed}
+              "grid_size": grid_size, "tol": args.tol}
     inline = {
         "order": rep.order, "passed": rep.passed,
         "min_minor": rep.min_minor,
         "min_minor_normalized": rep.min_minor_normalized,
         "argmin_x": list(rep.argmin_x), "argmin_y": list(rep.argmin_y),
         "minors_checked": rep.minors_checked, "tol": rep.tol,
-        "exhaustive": rep.exhaustive, "violations": rep.violations,
+        "violations": rep.violations,
     }
     verdict = "no violation" if rep.passed else "VIOLATION"
     summary = [f"order-{rep.order} minors: {verdict} "
@@ -433,8 +429,13 @@ def _cmd_gue_char(args, qc, pc):
     if x.n != args.n:
         raise InvalidSpec(f"--n {args.n} does not match the {x.n} x {x.n} "
                           "matrix file")
-    emp, se = empirical_char_fn(args.n, x, args.samples, args.seed,
-                                threads=args.threads)
+    # --threads changes nothing, but a value no host could run is refused;
+    # four stay allowed on any host
+    cap = max(4, os.cpu_count() or 1)
+    if not 1 <= args.threads <= cap:
+        raise InvalidSpec(f"--threads {args.threads} is outside 1..{cap} "
+                          f"(os.cpu_count(), at least 4)")
+    emp, se = empirical_char_fn(args.n, x, args.samples, args.seed)
     ref = product_char_fn(x)
     pull = abs(emp - ref) / se if se > 0.0 else 0.0
     config = {"n": args.n, "samples": args.samples, "seed": args.seed,
@@ -589,8 +590,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid-size", type=int, default=12)
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0,
-                   help="subsample seed when the scan is not exhaustive")
 
     p = add("rho-mass")
     p.add_argument("--params", required=True)

@@ -10,8 +10,10 @@ closed form as a hypoexponential density reflected to its support
 
 Minor checks evaluate det[f(x_i - y_j)] over ordered grid subsets with the
 determinant accumulated in double-double, so a reported near-zero minor
-reflects the data, not elimination noise; a scan indexes its minors out of
-one table of f as (k, r, r) stacks of at most _CHUNK entries for det_dd.
+reflects the data, not elimination noise.  A scan checks every minor of
+its grid, or refuses past _MAX_MINORS before evaluating f; it indexes the
+minors out of one table of f as (k, r, r) stacks of at most _CHUNK entries
+for det_dd.
 Collocated-column limits of the same minors (derivative minors) use exact
 spectral or termwise derivatives when the source provides them and
 Richardson-checked central differences otherwise.
@@ -46,6 +48,10 @@ MAX_DENSITY_EVALS = 10_000
 # 4T max(1, |a|)/pi per value a: pf-eval of {"d":0.5} on --a-grid
 # 1700:1770:5 (97 700 panels) took 22 s on a 2-vCPU Xeon.
 _MAX_DENSITY_PANELS = 100_000
+# Minors per scan, C(grid_size, order)^2, since a scan checks every one:
+# order 5 on a 13-point grid (1 656 369 minors, about 166 000 a second)
+# took 10 s on a 2-vCPU Xeon.
+_MAX_MINORS = 2_000_000
 
 
 # ---------- hypoexponential term lists ----------
@@ -372,7 +378,6 @@ class TPReport:
     argmin_y: tuple[float, ...]
     minors_checked: int
     tol: float
-    exhaustive: bool
     violations: int
 
 
@@ -382,16 +387,14 @@ def check_pf_minors(
     window: tuple[float, float] | None = None,
     grid_size: int = 12,
     tol: float = 1e-10,
-    max_minors: int = 100_000,
-    seed: int = 0,
     qc: QuadratureConfig | None = None,
     pc: PrecisionConfig = NATIVE,
 ) -> TPReport:
-    """Scan order-r minors det[f(x_i - y_j)] over ordered grid subsets.
+    """Scan every order-r minor det[f(x_i - y_j)] over ordered grid subsets.
 
-    Exhaustive when the pair count fits in max_minors, otherwise a seeded
-    subsample of sorted index subsets.  Minors are normalized by the product
-    of row maxima before the sign test, so scale cannot mask a violation.
+    A scan of more than _MAX_MINORS minors is refused before any density
+    is evaluated.  Minors are normalized by the product of row maxima
+    before the sign test, so scale cannot mask a violation.
     """
     if not 1 <= order <= 5:
         raise InvalidSpec("minor order must be in 1..5")
@@ -399,40 +402,29 @@ def check_pf_minors(
         raise InvalidSpec("tol must be finite and nonnegative")
     if grid_size < order:
         raise InvalidSpec("grid_size must be at least the minor order")
-    if seed < 0:
-        raise InvalidSpec("seed must be nonnegative")
-    if max_minors < 1:
-        raise InvalidSpec("max_minors must be at least 1")
     if grid_size ** 2 > MAX_DENSITY_EVALS:
         raise InvalidSpec(f"{grid_size ** 2:.3g} density evaluations are "
                           f"past the cap of {MAX_DENSITY_EVALS}")
+    n_sub = math.comb(grid_size, order)
+    total = n_sub ** 2
+    if total > _MAX_MINORS:
+        raise InvalidSpec(f"C({grid_size}, {order})^2 = {total:.3g} minors "
+                          f"are past the cap of {_MAX_MINORS:.3g}")
     lo, hi = window or source.suggest_window()
     if not hi > lo:
         raise InvalidSpec("window must have positive width")
     xs = np.linspace(lo, hi, grid_size)
     diffs = xs[:, None] - xs[None, :]
     fvals = source.eval(diffs.ravel(), qc=qc, pc=pc).reshape(diffs.shape)
-
-    n_sub = math.comb(grid_size, order)
-    exhaustive = n_sub ** 2 <= max_minors
-    total = n_sub ** 2 if exhaustive else max_minors
-    rng = np.random.default_rng(seed)
-    if exhaustive:
-        combos = np.array(list(itertools.combinations(range(grid_size), order)))
+    combos = np.array(list(itertools.combinations(range(grid_size), order)))
 
     min_norm, min_raw = math.inf, 0.0
     argx = argy = ()
     violations = 0
     step = _CHUNK // order ** 2
     for start in range(0, total, step):
-        count = min(step, total - start)
-        if exhaustive:
-            pair = np.arange(start, start + count)
-            xi, yi = combos[pair // n_sub], combos[pair % n_sub]
-        else:  # x then y per pair, as one sorted draw each
-            draws = np.array([np.sort(rng.choice(grid_size, order, replace=False))
-                              for _ in range(2 * count)])
-            xi, yi = draws[0::2], draws[1::2]
+        pair = np.arange(start, min(start + step, total))
+        xi, yi = combos[pair // n_sub], combos[pair % n_sub]
         sub = fvals[xi[:, :, None], yi[:, None, :]]
         raw = det_dd(dd.from_array(sub)).to_float()
         scale = np.abs(sub).max(axis=2).prod(axis=1)  # in row order
@@ -451,7 +443,6 @@ def check_pf_minors(
         argmin_y=argy,
         minors_checked=total,
         tol=tol,
-        exhaustive=exhaustive,
         violations=violations,
     )
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidSpec, NonConvergence
+from .errors import InsufficientData, InvalidSpec, NonConvergence, NonFinite
 from .schoenberg import SchoenbergParams, eval_p
 from .ztransform import ZeroTable
 
@@ -182,10 +181,17 @@ def eigenvalues(h: HermitianMatrix) -> SpectralSample:
     n = h.n
     lam = np.linalg.eigvalsh(h.entries)
     scale = max(1.0, float(np.max(np.abs(h.entries))))
-    if abs(math.fsum(lam) - h.trace()) > 1e-8 * n * scale:
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = (math.fsum(lam), h.trace(), math.fsum(lam * lam),
+                    h.trace_sq())
+    except OverflowError:  # fsum's partial sums left the float range
+        sums = (math.inf,)
+    if not all(map(math.isfinite, sums)):
+        raise NonFinite("the trace identities overflow for this matrix")
+    if not abs(sums[0] - sums[1]) <= 1e-8 * n * scale:
         raise NonConvergence("eigenvalue sum fails the trace identity")
-    if abs(math.fsum(x * x for x in lam) - h.trace_sq()) \
-            > 1e-8 * n * scale * scale:
+    if not abs(sums[2] - sums[3]) <= 1e-8 * n * scale * scale:
         raise NonConvergence("eigenvalue square sum fails tr(A^2)")
     return SpectralSample(tuple(float(x) for x in lam))
 
@@ -278,8 +284,7 @@ def _sum_blocks(a: np.ndarray):
 
 
 def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
-                      rng_seed: int, threads: int = 1
-                      ) -> tuple[complex, float]:
+                      rng_seed: int) -> tuple[complex, float]:
     """Monte Carlo mean of e^{i tr(XA)} with its 1-sigma standard error.
 
     Sample k comes from stream k // 4096, whose generator draws the
@@ -288,20 +293,13 @@ def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
     one complex array, so memory is 16 bytes per sample plus one block.
     The mean and the squared deviations are summed exactly, block by
     block, and rounded once, as math.fsum would.  The estimate is the same
-    bit for bit at any block size.  It runs on one thread; threads is
-    checked against its cap but changes neither the result nor the time.
+    bit for bit at any block size.  An estimate that is not finite (tr(XA)
+    overflowed) raises NonFinite.
     """
     if x.n != n:
         raise InvalidSpec("test matrix size must match n")
     if rng_seed < 0:
         raise InvalidSpec("seed must be nonnegative")
-    if not threads >= 1:
-        raise InvalidSpec("threads must be at least 1")
-    # kept for the command line's --threads; four stay allowed on any host
-    cap = max(4, os.cpu_count() or 1)
-    if threads > cap:
-        raise InvalidSpec(f"threads {threads} is past the cap of {cap} "
-                          f"(os.cpu_count(), at least 4)")
     if samples < 2:
         raise InsufficientData("need at least 2 samples")
     work = samples * max(n, 4) ** 2
@@ -310,17 +308,21 @@ def empirical_char_fn(n: int, x: HermitianMatrix, samples: int,
                           f"cap of {_MAX_CHAR_WORK:.3g}")
     xa = np.asarray(x.entries)
     vals = np.empty(samples, dtype=complex)
-    for start, g, h in _char_draws(n, rng_seed, samples):
-        # A = (G + G^T)/2 + i (H - H^T)/2: diagonal variance 1, off-diagonal
-        # parts variance 1/2 each, matching the entrywise sampler's law
-        re = 0.5 * (g + np.transpose(g, (0, 2, 1)))
-        im = 0.5 * (h - np.transpose(h, (0, 2, 1)))
-        tr = np.einsum("ij,kji->k", xa, re + 1j * im)
-        vals[start:start + len(g)] = np.exp(1j * np.real(tr))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for start, g, h in _char_draws(n, rng_seed, samples):
+            # A = (G + G^T)/2 + i (H - H^T)/2: diagonal variance 1,
+            # off-diagonal parts variance 1/2 each, matching the entrywise
+            # sampler's law
+            re = 0.5 * (g + np.transpose(g, (0, 2, 1)))
+            im = 0.5 * (h - np.transpose(h, (0, 2, 1)))
+            tr = np.einsum("ij,kji->k", xa, re + 1j * im)
+            vals[start:start + len(g)] = np.exp(1j * np.real(tr))
     mean = complex(_fsum(_sum_blocks(vals.real)),
                    _fsum(_sum_blocks(vals.imag))) / samples
     var = _fsum(np.abs(b - mean) ** 2 for b in _sum_blocks(vals)) \
         / (samples - 1)
+    if math.isnan(var):  # a NaN value: some tr(XA) overflowed
+        raise NonFinite("tr(XA) overflows: the estimate is not finite")
     return mean, math.sqrt(var / samples)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import InvalidSpec, NonFinite, PoleProximity
 
 _EXP_CAP = 690.0  # exp argument above which float64 overflows
+_POLE_EPS = 1e-8  # relative distance to a pole that eval_p refuses
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,10 @@ def validate(params: SchoenbergParams) -> ValidationReport:
     return ValidationReport(finite, nonneg, tuple(msgs))
 
 
-def eval_p(params: SchoenbergParams, t, pole_eps: float = 1e-8):
+def eval_p(params: SchoenbergParams, t):
     """Evaluate p at real or complex t (scalars or ndarrays).
 
-    Raises PoleProximity within pole_eps * max(1, |t|) of any pole and
+    Raises PoleProximity within 1e-8 * max(1, |t|) of any pole and
     NonFinite when the Gaussian factor would overflow (possible only for
     complex t with |Im t| > |Re t| and d > 0) or the value is not finite
     (d > 0 and t so large that t^2 overflows).
@@ -99,9 +100,10 @@ def eval_p(params: SchoenbergParams, t, pole_eps: float = 1e-8):
     t_arr = np.asarray(t, dtype=complex)
     for pole in poles(params):
         gap = np.abs(t_arr - pole)
-        bad = gap <= pole_eps * np.maximum(1.0, np.abs(t_arr))
+        bad = gap <= _POLE_EPS * np.maximum(1.0, np.abs(t_arr))
         if np.any(bad):
-            raise PoleProximity(f"t within {pole_eps:g} of pole {pole}", pole=pole)
+            raise PoleProximity(f"t within {_POLE_EPS:g} of pole {pole}",
+                                pole=pole)
     with np.errstate(over="ignore", invalid="ignore"):
         ex = 1j * params.omega * t_arr
         # without a Gaussian factor, t^2 may overflow where p is finite
@@ -152,10 +154,6 @@ def params_from_dict(obj: dict) -> SchoenbergParams:
         )
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed params: {exc}") from exc
-
-
-def params_to_json(params: SchoenbergParams) -> str:
-    return json.dumps(params_to_dict(params))
 
 
 def params_from_json(text: str) -> SchoenbergParams:

@@ -79,6 +79,10 @@ _PI = math.pi
 _PI2 = math.pi * math.pi
 _U_FLOOR = -3.0
 _N_CAP = 512
+# bound on the first neglected series term (the dd paths tighten it by
+# 2^-53 so both precisions truncate consistently)
+_TERM_TAIL_TOL = 1e-18
+_U_MAX = 2.0  # integration window edge, where F has decayed past any use
 
 
 # ---------- configuration ----------
@@ -86,30 +90,20 @@ _N_CAP = 512
 
 @dataclass(frozen=True)
 class XiConfig:
-    """Truncation and precision knobs for the F-based evaluators.
+    """Quadrature and precision for the F-based evaluators."""
 
-    term_tail_tol bounds the first neglected series term (the dd paths
-    tighten it by 2^-53 so both precisions truncate consistently); u_max
-    cuts the integration window where F has decayed below any later use.
-    """
-
-    term_tail_tol: float = 1e-18
-    u_max: float = 2.0
     qc: QuadratureConfig = field(default_factory=QuadratureConfig)
     pc: PrecisionConfig = NATIVE
 
     def __post_init__(self):
-        if not (0.0 < self.term_tail_tol < 1.0):
-            raise InvalidSpec("term_tail_tol must lie in (0, 1)")
-        if not (0.5 <= self.u_max <= 6.0) or not math.isfinite(self.u_max):
-            raise InvalidSpec("u_max must lie in [0.5, 6]")
-        # discarded tail: F decays like exp(-2 pi e^{2u} u) past u_max, so
-        # one e-fold length bounds int_{u_max}^inf F by F(u_max) * efold
-        efold = 1.0 / (2.0 * _PI * math.exp(2.0 * self.u_max) - 4.5)
-        if _f_scalar(self.u_max, _term_count(self.u_max, self.term_tail_tol)) \
+        # discarded tail: F decays like exp(-2 pi e^{2u} u) past _U_MAX, so
+        # one e-fold length bounds int_{_U_MAX}^inf F by F(_U_MAX) * efold
+        efold = 1.0 / (2.0 * _PI * math.exp(2.0 * _U_MAX) - 4.5)
+        if _f_scalar(_U_MAX, _term_count(_U_MAX, _TERM_TAIL_TOL)) \
                 * efold >= self.qc.abs_tol / 10.0:
             raise InvalidSpec(
-                "u_max leaves a truncated tail above abs_tol / 10")
+                "abs_tol is below the truncated tail of F past u = "
+                f"{_U_MAX:g}")
 
 
 # ---------- the series weight F ----------
@@ -182,32 +176,30 @@ def _f_dd(u: DD, n_terms: int) -> DD:
     return total
 
 
-def F_eval(u: float, cfg: XiConfig | None = None) -> float:
+def F_eval(u: float) -> float:
     """The series weight F(u); working range u >= -3."""
-    val, _ = F_eval_err(u, cfg)
+    val, _ = F_eval_err(u)
     return val
 
 
-def F_eval_err(u: float, cfg: XiConfig | None = None) -> tuple[float, float]:
+def F_eval_err(u: float) -> tuple[float, float]:
     """F(u) with an absolute noise bound (cancellation floor at u < 0)."""
-    cfg = cfg or XiConfig()
     u = float(u)
     if not math.isfinite(u):
         raise InvalidSpec("u must be finite")
     if u < _U_FLOOR:
         raise TruncationCapExceeded(
             f"u = {u:g} is below the working floor {_U_FLOOR:g}")
-    n = _term_count(u, cfg.term_tail_tol)
+    n = _term_count(u, _TERM_TAIL_TOL)
     val = _f_scalar(u, n)
-    err = _EPS * _f_abs_sum(u, n) + cfg.term_tail_tol
+    err = _EPS * _f_abs_sum(u, n) + _TERM_TAIL_TOL
     return val, err
 
 
 # ---------- the damped transform ----------
 
 
-def _window(cfg: XiConfig) -> tuple[float, float]:
-    return (-min(-_U_FLOOR, cfg.u_max), cfg.u_max)
+_WINDOW = (-min(-_U_FLOOR, _U_MAX), _U_MAX)
 
 
 def xi_eval(z: complex, b: float = 0.0, cfg: XiConfig | None = None) -> complex:
@@ -229,9 +221,9 @@ def xi_eval_err(z: complex, b: float = 0.0,
     z = complex(z)
     if not (b >= 0.0 and math.isfinite(b)):
         raise InvalidSpec("b must be finite and nonnegative")
-    lo, hi = _window(cfg)
-    n = _term_count(lo, cfg.term_tail_tol)
-    n_dd = _term_count(lo, cfg.term_tail_tol * 2.0**-53)
+    lo, hi = _WINDOW
+    n = _term_count(lo, _TERM_TAIL_TOL)
+    n_dd = _term_count(lo, _TERM_TAIL_TOL * 2.0**-53)
 
     def f(u):
         with np.errstate(under="ignore"):
@@ -285,8 +277,8 @@ class _XiSource:
             raise InvalidSpec("b must be finite and nonnegative")
 
     def weights(self):
-        n = _term_count(0.0, self.cfg.term_tail_tol)
-        n_dd = _term_count(0.0, self.cfg.term_tail_tol * 2.0**-53)
+        n = _term_count(0.0, _TERM_TAIL_TOL)
+        n_dd = _term_count(0.0, _TERM_TAIL_TOL * 2.0**-53)
         b = self.b
 
         def g(u):
@@ -307,7 +299,7 @@ class _XiSource:
     def radius(self, im_z: float, pc: PrecisionConfig) -> float:
         # F decays doubly exponentially, so the window never widens with
         # Im z at the rectangle heights used here
-        return self.cfg.u_max
+        return _U_MAX
 
     def with_b(self, b: float) -> "_XiSource":
         return _XiSource(b, self.cfg)

@@ -242,6 +242,7 @@ def eval_quadrature(
 
 
 _MAX_MOMENT_TABLES = 64
+_SERIES_MOMENTS = (80, 160)  # moment counts tried in turn by eval_series
 
 
 @functools.lru_cache(maxsize=_MAX_MOMENT_TABLES)
@@ -293,7 +294,6 @@ def _sum_series(z: float, mo, extended: bool):
 def eval_series(
     zspec: ZSpec,
     z: float,
-    k_max: int | None = None,
     qc: QuadratureConfig | None = None,
     pc: PrecisionConfig = NATIVE,
 ) -> ZValue:
@@ -310,7 +310,7 @@ def eval_series(
     z = float(z)
     qc = qc or QuadratureConfig()
     extended = pc.mode == "extended"
-    ks = [k_max] if k_max is not None else [80, 160]
+    ks = _SERIES_MOMENTS
     value = err = None
     for k in ks:
         mo = _cached_moments(zspec.spec, zspec.b, k, qc)

@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -233,6 +234,25 @@ def test_tp_check_bad_density_rows_exit_1(tmp_path, capsys, row):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_tp_check_scans_every_minor(tmp_path):
+    assert run(tmp_path, "tp-check", "--params", C1, "--order", "4") == 0
+    env = envelope(tmp_path, "tp-check")
+    assert env["payload"]["inline"]["minors_checked"] == 245025  # C(12,4)^2
+    assert "exhaustive" not in env["payload"]["inline"]
+    assert "seed" not in env["config"]
+
+
+def test_tp_check_past_the_minor_cap_exits_1_at_once(tmp_path, capsys):
+    # C(14, 5)^2 = 4 008 004 minors, one grid size past the cap
+    t0 = time.perf_counter()
+    assert run(tmp_path, "tp-check", "--params", C1, "--order", "5",
+               "--grid-size", "14") == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cap" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_tp_check_requires_exactly_one_source(tmp_path):
     assert run(tmp_path, "tp-check", "--grid=-1:1:5") == 1
     assert run(tmp_path, "tp-check", "--params", GAUSS,
@@ -300,6 +320,22 @@ def test_gue_char_threads_do_not_change_hash(tmp_path):
     h1 = envelope(d1, "gue-char")["content_hash"]
     h2 = envelope(d2, "gue-char")["content_hash"]
     assert h1 == h2
+
+
+@pytest.mark.parametrize("rows", [
+    # 1 x 1: the estimate would be NaN
+    ["c0", "(1e+308+0j)"],
+    # 2 x 2: tr(XA) and the trace sums of the spectrum both overflow
+    ["c0,c1", "(1e+308+0j),0j", "0j,(1e+308+0j)"],
+])
+def test_gue_char_overflow_exits_2(tmp_path, capsys, rows):
+    xfile = tmp_path / "x.csv"
+    xfile.write_text("".join(r + "\r\n" for r in rows))
+    assert run(tmp_path, "gue-char", "--n", str(len(rows) - 1),
+               "--X", str(xfile), "--samples", "100", "--seed", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_gue_char_dimension_mismatch(tmp_path):
@@ -455,6 +491,9 @@ def test_unknown_command_and_flags_exit_1(tmp_path):
     assert main(["no-such-command"]) == 1
     assert run(tmp_path, "p-eval", "--params", GAUSS, "--t", "1",
                "--bogus") == 1
+    # tp-check scans every minor, so it has no seed
+    assert run(tmp_path, "tp-check", "--params", C1, "--seed", "-1") == 1
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_malformed_params_exit_1(tmp_path):
@@ -515,10 +554,9 @@ def test_inadmissible_measure_rejected_before_transform(tmp_path):
     ["gue-sample", "--n", "4", "--samples", "2", "--seed", "-1"],
     ["gue-char", "--n", "1", "--X", "{x}", "--samples", "100",
      "--seed", "-1"],
-    ["tp-check", "--params", C1, "--order", "5", "--grid-size", "12",
-     "--seed", "-1"],
-    # sizes past the density-evaluation and spectrum caps, refused before
-    # any array is allocated
+    # sizes past the minor, density-evaluation and spectrum caps, refused
+    # before any array is allocated
+    ["tp-check", "--params", C1, "--order", "2", "--grid-size", "54"],
     ["tp-check", "--params", C1, "--grid-size", "1000000000000"],
     ["tp-check", "--params", C1, "--grid=-2:2:100000"],
     ["pf-eval", "--params", C1, "--a-grid=-2:2:1000000000000"],

@@ -18,6 +18,7 @@ from zlab.pfreq import (
     SchoenbergDensity,
     TabulatedDensity,
     _eval_terms,
+    _MAX_MINORS,
     _hypoexp_terms,
     check_derivative_minors,
     check_pf_minors,
@@ -163,7 +164,7 @@ def test_det_dd_pivoting_and_oracle():
 def test_normal_density_minors_pass():
     src = SchoenbergDensity(SchoenbergParams(omega=0.0, d=0.5))
     rep2 = check_pf_minors(src, order=2, window=(-2.0, 2.0), grid_size=8)
-    assert rep2.passed and rep2.exhaustive
+    assert rep2.passed and rep2.minors_checked == math.comb(8, 2) ** 2
     assert rep2.min_minor_normalized > 0.0
     rep3 = check_pf_minors(src, order=3, window=(-2.0, 2.0), grid_size=7)
     assert rep3.passed
@@ -200,15 +201,15 @@ def test_kink_raises_non_smooth():
     assert rep.passed and rep.method == "central-differences"
 
 
-def test_subsampled_scan_is_deterministic():
-    src = SchoenbergDensity(SchoenbergParams(omega=0.0, d=0.5))
-    kw = dict(order=4, window=(-2.0, 2.0), grid_size=14,
-              max_minors=400, seed=3)
-    r1 = check_pf_minors(src, **kw)
-    r2 = check_pf_minors(src, **kw)
-    assert not r1.exhaustive
-    assert r1.min_minor_normalized == r2.min_minor_normalized
-    assert r1.argmin_x == r2.argmin_x
+def test_minor_cap_refuses_before_any_density_evaluation():
+    def never(a):
+        raise AssertionError("density evaluated past the minor cap")
+
+    src = CallableDensity(never, window=(-2.0, 2.0))
+    # C(14, 5)^2 = 4 008 004 minors; C(13, 5)^2 = 1 656 369 fit the cap
+    assert math.comb(13, 5) ** 2 <= _MAX_MINORS < math.comb(14, 5) ** 2
+    with pytest.raises(InvalidSpec, match="cap"):
+        check_pf_minors(src, order=5, grid_size=14)
 
 
 def test_minor_scan_validation():
@@ -221,9 +222,6 @@ def test_minor_scan_validation():
         check_pf_minors(CallableDensity(phi), order=2)  # no window anywhere
     with pytest.raises(InvalidSpec):
         check_derivative_minors(src, (0.0,), order=2)  # too few points
-    for max_minors in (0, -5):  # would pass having checked nothing
-        with pytest.raises(InvalidSpec):
-            check_pf_minors(src, order=2, grid_size=5, max_minors=max_minors)
     # a NaN tolerance would pass every sign test `norm < -tol`
     for tol in (math.nan, math.inf, -5.0):
         with pytest.raises(InvalidSpec):
@@ -246,7 +244,7 @@ FROZEN_REPORTS = [
         "min_minor_normalized=0.0, argmin_x=(-6.505066631919078, "
         "-5.537416268640372, -1.666814815525547), argmin_y=("
         "-6.505066631919078, -5.537416268640372, -4.569765905361666), "
-        "minors_checked=14400, tol=1e-09, exhaustive=True, violations=0)",
+        "minors_checked=14400, tol=1e-09, violations=0)",
         id="zero-pivots-beyond-support-edge"),
     pytest.param(
         lambda: check_pf_minors(TabulatedDensity(GRID, BUMPS), order=2,
@@ -254,19 +252,8 @@ FROZEN_REPORTS = [
         "TPReport(order=2, passed=False, min_minor=-0.4111389799160587, "
         "min_minor_normalized=-0.9999999999998768, argmin_x=(-3.5, "
         "-1.1666666666666665), argmin_y=(-3.5, -1.1666666666666665), "
-        "minors_checked=2025, tol=1e-10, exhaustive=True, violations=391)",
+        "minors_checked=2025, tol=1e-10, violations=391)",
         id="violations-bimodal-control"),
-    pytest.param(
-        lambda: check_pf_minors(SchoenbergDensity(SchoenbergParams(d=0.5)),
-                                order=4, window=(-2.0, 2.0), grid_size=14,
-                                max_minors=400, seed=3),
-        "TPReport(order=4, passed=True, min_minor=2.8389923708059873e-11, "
-        "min_minor_normalized=1.4889286070991741e-09, argmin_x=(-2.0, "
-        "-1.6923076923076923, -1.3846153846153846, -1.0769230769230769), "
-        "argmin_y=(-1.3846153846153846, 1.076923076923077, "
-        "1.6923076923076925, 2.0), minors_checked=400, tol=1e-10, "
-        "exhaustive=False, violations=0)",
-        id="sampled-order-4-quadrature"),
     pytest.param(
         lambda: check_pf_minors(SchoenbergDensity(SchoenbergParams(
             d=0.2, coeffs=(0.5,))), order=2, grid_size=10),
@@ -274,7 +261,7 @@ FROZEN_REPORTS = [
         "min_minor_normalized=-4.881893046732708e-05, argmin_x=("
         "2.5082579661373265, 3.22490309931942), argmin_y=("
         "-3.22490309931942, -2.508257966137327), minors_checked=2025, "
-        "tol=1e-10, exhaustive=True, violations=1)",
+        "tol=1e-10, violations=1)",
         id="quadrature-noise-violation"),
     pytest.param(
         lambda: check_pf_minors(SchoenbergDensity(SchoenbergParams(
@@ -284,7 +271,7 @@ FROZEN_REPORTS = [
         "-2.571428571428571, -0.4285714285714284, 0.2857142857142856, 1.0), "
         "argmin_y=(-2.571428571428571, -1.8571428571428572, "
         "-1.1428571428571428, -0.4285714285714284, 0.2857142857142856), "
-        "minors_checked=3136, tol=1e-10, exhaustive=True, violations=0)",
+        "minors_checked=3136, tol=1e-10, violations=0)",
         id="order-5"),
     pytest.param(
         lambda: check_derivative_minors(

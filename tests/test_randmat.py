@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from zlab.errors import InsufficientData, InvalidSpec, NonConvergence
+from zlab.errors import InsufficientData, InvalidSpec, NonConvergence, NonFinite
 from zlab.numerics.quadrature import EXTENDED
 from zlab.randmat import (
     HermitianMatrix,
@@ -127,6 +127,18 @@ def test_trace_identity_failure_raises(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, bad=bad: bad)
         with pytest.raises(NonConvergence):
             eigenvalues(h)
+    # a NaN spectrum passes no identity
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: np.full(6, math.nan))
+    with pytest.raises(NonFinite):
+        eigenvalues(h)
+
+
+@pytest.mark.parametrize("diag", [[1e308], [1e308, 1e308], [1e200, -1e200]])
+def test_trace_identity_overflow_raises_non_finite(diag):
+    # the square sum, or fsum's partial sums, leave the float range
+    with pytest.raises(NonFinite):
+        eigenvalues(diag_matrix(diag))
 
 
 def test_unitary_invariance_of_spectrum():
@@ -172,19 +184,6 @@ def test_char_fn_work_cap():
     with pytest.raises(InvalidSpec, match="cap"):
         empirical_char_fn(2, matrix_unit(2, 0),
                           randmat._MAX_CHAR_WORK // 16 + 1, rng_seed=0)
-
-
-def test_char_fn_thread_cap():
-    # refused before any thread pool exists
-    with pytest.raises(InvalidSpec, match="cap"):
-        empirical_char_fn(2, matrix_unit(2, 0), 100, rng_seed=0,
-                          threads=10 ** 5)
-
-
-def test_char_fn_thread_count_invariance():
-    a = empirical_char_fn(4, matrix_unit(4, 1), 10_000, rng_seed=9, threads=1)
-    b = empirical_char_fn(4, matrix_unit(4, 1), 10_000, rng_seed=9, threads=3)
-    assert a == b
 
 
 # (args, repr of (mean, se)) recorded from the unblocked estimator, which

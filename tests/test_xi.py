@@ -16,7 +16,7 @@ from zlab.errors import (
     RangeExceeded,
     TruncationCapExceeded,
 )
-from zlab.numerics.quadrature import PrecisionConfig
+from zlab.numerics.quadrature import PrecisionConfig, QuadratureConfig
 from zlab.xi import (
     F_eval,
     F_eval_err,
@@ -103,15 +103,10 @@ def test_f_noise_bound_is_honest_at_negative_u():
 
 
 def test_xi_config_validation():
+    # F's truncated tail past the window edge must stay below abs_tol / 10
     with pytest.raises(InvalidSpec):
-        XiConfig(term_tail_tol=0.0)
-    with pytest.raises(InvalidSpec):
-        XiConfig(u_max=0.3)
-    with pytest.raises(InvalidSpec):
-        XiConfig(u_max=7.0)
-    with pytest.raises(InvalidSpec):
-        XiConfig(u_max=0.5)  # truncated tail above abs_tol / 10
-    XiConfig(u_max=1.5)  # tail already negligible here
+        XiConfig(qc=QuadratureConfig(abs_tol=1e-80))
+    XiConfig(qc=QuadratureConfig(abs_tol=1e-60))
 
 
 def test_eta_route_reference_values():
