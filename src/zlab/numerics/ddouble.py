@@ -368,8 +368,8 @@ _COS_COEFFS = [((-1.0) ** (k + 1) * c[0], (-1.0) ** (k + 1) * c[1])
                for k, c in enumerate(_INV_FACT[0::2])]  # -1/2!, +1/4!, ...
 
 
-def sincos(a: DD):
-    """(sin a, cos a) elementwise; reduction modulo pi/2, |k| < 2**26."""
+def _reduce_half_pi(a: DD):
+    """(r, q) with a = k pi/2 + r, |r| <= pi/4 and q = k mod 4; |k| < 2**26."""
     hi = np.asarray(a.hi, dtype=float)
     lo = np.asarray(a.lo, dtype=float)
     k = np.rint(hi * _INV_HALF_PI)
@@ -379,10 +379,23 @@ def sincos(a: DD):
     r = DD(s, e) - DD(p2, p2e)
     r = r + lo
     r = r + (-k * _HALF_PI_CW[3])
+    return r, np.asarray(np.mod(k.astype(np.int64), 4))
+
+
+def _sin_chain(r: DD, s2: DD) -> DD:
+    return r + (r * s2) * _horner(s2, _SIN_COEFFS)
+
+
+def _cos_chain(r: DD, s2: DD) -> DD:
+    return s2 * _horner(s2, _COS_COEFFS) + 1.0
+
+
+def sincos(a: DD):
+    """(sin a, cos a) elementwise; reduction modulo pi/2, |k| < 2**26."""
+    r, q = _reduce_half_pi(a)
     s2 = r.sqr()
-    sin_r = r + (r * s2) * _horner(s2, _SIN_COEFFS)
-    cos_r = s2 * _horner(s2, _COS_COEFFS) + 1.0
-    q = np.mod(k.astype(np.int64), 4)
+    sin_r = _sin_chain(r, s2)
+    cos_r = _cos_chain(r, s2)
     sin_out = where(q == 0, sin_r,
                     where(q == 1, cos_r,
                           where(q == 2, -sin_r, -cos_r)))
@@ -400,7 +413,21 @@ def sin(a: DD) -> DD:
 
 
 def cos(a: DD) -> DD:
-    return sincos(a)[1]
+    """cos a elementwise, equal bit for bit to sincos(a)[1]: one Taylor
+    chain per lane, cos r on the even quadrants and sin r on the odd."""
+    r, q = _reduce_half_pi(a)
+    hi, lo = np.broadcast_arrays(r.hi, r.lo)
+    out = DD(np.empty(q.shape), np.empty(q.shape))
+    for odd, chain in ((False, _cos_chain), (True, _sin_chain)):
+        lanes = q % 2 == odd
+        rl = DD(hi[lanes], lo[lanes])
+        v = chain(rl, rl.sqr())
+        # cos a is cos r, -sin r, -cos r, sin r in quadrants 0..3
+        v = where((q[lanes] == 1) | (q[lanes] == 2), -v, v)
+        out.hi[lanes], out.lo[lanes] = v.hi, v.lo
+    if np.ndim(a.hi) == 0:
+        return DD(float(out.hi), float(out.lo))
+    return out
 
 
 def powi(a: DD, n: int) -> DD:

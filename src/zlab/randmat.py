@@ -57,13 +57,6 @@ class HermitianMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
-
-    def trace_sq(self) -> float:
-        # tr(A^2) = squared Frobenius norm for Hermitian A
-        return float(np.sum(np.abs(self.entries) ** 2))
-
 
 def matrix_unit(n: int, i: int) -> HermitianMatrix:
     """Diagonal matrix unit E_ii."""
@@ -180,15 +173,19 @@ def eigenvalues(h: HermitianMatrix) -> SpectralSample:
     """Spectrum via LAPACK eigvalsh (numpy), trace-identity checked."""
     n = h.n
     lam = np.linalg.eigvalsh(h.entries)
-    scale = max(1.0, float(np.max(np.abs(h.entries))))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = (math.fsum(lam), h.trace(), math.fsum(lam * lam),
-                    h.trace_sq())
-    except OverflowError:  # fsum's partial sums left the float range
-        sums = (math.inf,)
-    if not all(map(math.isfinite, sums)):
-        raise NonFinite("the trace identities overflow for this matrix")
+    if not np.all(np.isfinite(lam)):
+        raise NonFinite("the spectrum is not finite")
+    # both identities are checked on A 2^-k and lambda 2^-k with
+    # 2^k >= max|a_ij|: the scaling is exact, and no square sum overflows
+    # (tr(A^2) is the squared Frobenius norm for Hermitian A)
+    mag = np.abs(h.entries)
+    amax = float(np.max(mag))
+    f = 2.0 ** -max(0, math.frexp(amax)[1])
+    ls = lam * f
+    scale = max(1.0, amax) * f
+    trace = float(np.sum(np.real(np.diagonal(h.entries)) * f))
+    sums = (math.fsum(ls), trace, math.fsum(ls * ls),
+            float(np.sum((mag * f) ** 2)))
     if not abs(sums[0] - sums[1]) <= 1e-8 * n * scale:
         raise NonConvergence("eigenvalue sum fails the trace identity")
     if not abs(sums[2] - sums[3]) <= 1e-8 * n * scale * scale:

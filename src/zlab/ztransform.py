@@ -15,9 +15,10 @@ per precision mode, evaluated over the z grid in whole-array chunks)
 locates sign changes on [0, z_max], classifies sub-noise stretches
 honestly instead of inventing zeros in decayed tails, then polishes each
 credible candidate by a cell-guarded Halley iteration on the same rule in
-double-double.  A rectangle count walks the boundary argument, sharing
-no evaluator with the scan, and verify_reality compares the two on the
-largest resolvable window.  The walk and the top-edge probes that pick
+double-double, all candidates together, one rule pass per step.  A
+rectangle count walks the boundary argument, sharing no evaluator with the
+scan, and verify_reality compares the two on the largest resolvable
+window.  The walk and the top-edge probes that pick
 that window evaluate Z by one fixed rule per rectangle
 (numerics.evenrule):
 composite Gauss-Legendre panels of order 16 and 32 on [0, U], the even
@@ -40,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BoundaryTooCloseToZero,
@@ -68,7 +68,7 @@ _EPS = float(np.finfo(float).eps)
 _DD_EPS = 2.0**-104
 _MAX_GRID = 1 << 20  # most nodes in a scan rule's u grid
 # most z points x rule nodes in one scan, per mode, refused before the z
-# grid exists: a table just under the cap took about 13 s native and 3 s
+# grid exists: a table just under the cap took about 4 s native and 1.5 s
 # extended on a shared 2-vCPU host
 _MAX_SCAN_WORK = {"native": 1 << 27, "extended": 1 << 21}
 _POLISH_STEPS = 12  # most rule evaluations in one zero's polish
@@ -400,9 +400,11 @@ class _ScanRule:
     exact.  The grid and the polish share the rule; per z the error
     estimate is |T(h) - T(2h)| + eps * sum |w|, T(2h) over the even nodes.
     The grid passes a column of z against the row of nodes, _CHUNK terms
-    at a time, in float64 or in double-double by mode; dd.reduce_sum folds
-    each row exactly as it folds the polish's single z, so the grid's dd
-    values equal the polish's bit for bit.
+    at a time, in float64 or in double-double by mode, and the polish a
+    column of roots the same way in double-double; dd.reduce_sum folds
+    each row exactly as it folds a single z, so the grid's dd values equal
+    the polish's bit for bit, and no root's values depend on the roots
+    that share its pass.
     """
 
     def __init__(self, zspec: ZSpec, z_max: float, pc: PrecisionConfig):
@@ -459,15 +461,35 @@ class _ScanRule:
             vals[s:s + chunk], diffs[s:s + chunk] = full, diff
         return vals, np.abs(diffs) + self.floor
 
-    def eval_polish(self, z: float) -> tuple[float, float, float, float]:
+    def eval_polish(self, zs: np.ndarray):
         """T, T' = -sum w u sin(u z), T'' = -sum w u^2 cos(u z) and the dd
-        error estimate of T at z, from one dd sincos pass whatever the mode."""
+        error estimate of T at each z, from dd sincos passes of _CHUNK
+        terms whatever the mode."""
         u_dd, w_dd, wu_dd, wu2_dd = self._dd_nodes
-        s, c = dd.sincos(u_dd * z)
-        value, diff = self._trapezoid(w_dd * c)
-        deriv = -dd.reduce_sum(wu_dd * s).to_float()
-        second = -dd.reduce_sum(wu2_dd * c).to_float()
-        return value, deriv, second, abs(diff) + _DD_EPS * self.abs_w
+        out = np.empty((4, zs.size))
+        chunk = max(1, _CHUNK // self.u.size)
+        for s in range(0, zs.size, chunk):
+            sn, c = dd.sincos(u_dd * zs[s:s + chunk, None])
+            value, diff = self._trapezoid(w_dd * c)
+            out[:, s:s + chunk] = (
+                value, -dd.reduce_sum(wu_dd * sn).to_float(),
+                -dd.reduce_sum(wu2_dd * c).to_float(),
+                np.abs(diff) + _DD_EPS * self.abs_w)
+        return out
+
+
+def _window_max(x: np.ndarray, W: int) -> np.ndarray:
+    """max of x[i - W : i + W + 1] at each i, for x >= 0 (van Herk /
+    Gil-Werman): with blocks of 2W + 1 over x padded by W zeros, each
+    window is a suffix of one block and a prefix of the next, so prefix
+    and suffix maxima give every window in O(len(x))."""
+    K = 2 * W + 1
+    p = np.zeros(-(-(x.size + 2 * W) // K) * K)
+    p[W:W + x.size] = x
+    blocks = p.reshape(-1, K)
+    pre = np.maximum.accumulate(blocks, axis=1).ravel()
+    suf = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suf[:x.size], pre[K - 1:K - 1 + x.size])
 
 
 def _spacing_estimate(zspec: ZSpec, pc: PrecisionConfig) -> float:
@@ -493,8 +515,10 @@ def find_real_zeros(
     candidate above the floor is polished by Halley steps on the scan rule
     in double-double from the secant point of its grid cell; a step that
     leaves the cell's bracket falls back to its midpoint, so every root
-    stays in its own cell.  A root is accepted only if the final residual
-    is within a hundred times the rule's error estimate.
+    stays in its own cell.  The candidates are held as arrays, and each
+    Halley generation is one eval_polish call on the roots still moving.
+    A root is accepted only if the final residual is within a hundred
+    times the rule's error estimate.
     """
     if not (0.0 < z_max < math.inf):
         raise InvalidSpec("z_max must be finite and positive")
@@ -514,10 +538,9 @@ def find_real_zeros(
         zs = np.append(zs, z_max)
     vals, errs = rule.eval_grid(zs)
 
-    # local amplitude envelope over a one-spacing window; the zero padding
-    # never wins a maximum of |T| >= 0, so the edge windows stay exact
+    # local amplitude envelope over a one-spacing window
     W = max(3, int(math.ceil(spacing / h)))
-    env = sliding_window_view(np.pad(np.abs(vals), W), 2 * W + 1).max(axis=1)
+    env = _window_max(np.abs(vals), W)
 
     notes: list[str] = []
     noise_mask = env < 10.0 * errs
@@ -525,34 +548,42 @@ def find_real_zeros(
     noise_regions = [(float(zs[i]), float(zs[j - 1])) for i, j in
                      zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
-    zeros: list[Zero] = []
-    rejected = 0
-    # sign changes with neither end inside a recorded noise region
-    for i in np.flatnonzero((vals[:-1] * vals[1:] < 0.0)
-                            & ~noise_mask[:-1] & ~noise_mask[1:]):
-        lo, hi = float(zs[i]), float(zs[i + 1])
-        root = float(lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i]))
+    # sign changes with neither end inside a recorded noise region, each
+    # polished from the secant point of its cell, all live ones together
+    i = np.flatnonzero((vals[:-1] * vals[1:] < 0.0)
+                       & ~noise_mask[:-1] & ~noise_mask[1:])
+    lo, hi, v0 = zs[i], zs[i + 1], vals[i]
+    root = lo - v0 * (hi - lo) / (vals[i + 1] - v0)
+    final, dfinal, noise = np.empty((3, i.size))
+    live = np.arange(i.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(_POLISH_STEPS):
-            final, dfinal, d2, err = rule.eval_polish(root)
+            if not live.size:
+                break
+            r = root[live]
+            f, d, d2, err = rule.eval_polish(r)
+            final[live], dfinal[live] = f, d
             # a float root cannot witness a residual below |Z'| * ulp(z_k),
             # so that term joins the rule's error in the root's resolution
-            noise = err + abs(dfinal) * _EPS * max(1.0, abs(root))
-            denom = 2.0 * dfinal * dfinal - final * d2
-            dz = 2.0 * final * dfinal / denom if denom else math.inf
-            if abs(dz * dfinal) <= noise or k == _POLISH_STEPS - 1:
+            nz = err + np.abs(d) * _EPS * np.maximum(1.0, np.abs(r))
+            noise[live] = nz
+            denom = 2.0 * d * d - f * d2
+            dz = np.where(denom != 0.0, 2.0 * f * d / denom, math.inf)
+            if k == _POLISH_STEPS - 1:
                 break
-            if final * vals[i] > 0.0:
-                lo = root
-            else:
-                hi = root
-            root -= dz
-            if not lo < root < hi:
-                root = 0.5 * (lo + hi)
-        if abs(final) <= 1e2 * noise:
-            zeros.append(Zero(index=len(zeros), z=root,
-                              residual=abs(final), derivative=dfinal))
-        else:
-            rejected += 1
+            go = ~(np.abs(dz * d) <= nz)
+            live, f, r, dz = live[go], f[go], r[go], dz[go]
+            left = f * v0[live] > 0.0
+            lo[live[left]] = r[left]
+            hi[live[~left]] = r[~left]
+            r = r - dz
+            inside = (lo[live] < r) & (r < hi[live])
+            root[live] = np.where(inside, r, 0.5 * (lo[live] + hi[live]))
+    ok = np.abs(final) <= 1e2 * noise
+    zeros = [Zero(index=n, z=float(z), residual=float(abs(v)),
+                  derivative=float(d)) for n, (z, v, d)
+             in enumerate(zip(root[ok], final[ok], dfinal[ok]))]
+    rejected = int(i.size - ok.sum())
     if rejected:
         notes.append(f"{rejected} candidate(s) failed the residual check")
     if len(zeros) >= 2:

@@ -109,6 +109,29 @@ def test_sincos_pythagoras_vector():
     assert np.max(np.abs(resid.hi)) < 5e-32
 
 
+def test_cos_equals_sincos_bit_for_bit():
+    # one Taylor chain per lane gives the cos column of sincos exactly, in
+    # every quadrant, far out and with a nonzero low word
+    q = math.pi / 2.0
+    points = [0.0, 0.3, -0.3, q + 0.2, 2 * q - 0.1, 2 * q + 0.4, -3 * q - 0.2,
+              7 * q, 1e6, -1e6, 123456.789]
+    for x in points:
+        for lo in (0.0, 1e-17 * max(1.0, abs(x)), -3e-20):
+            a = DD(x, lo)
+            c, ref = dd.cos(a), dd.sincos(a)[1]
+            assert type(c.hi) is float and type(c.lo) is float
+            assert (c.hi, c.lo) == (ref.hi, ref.lo), (x, lo)
+    rng = np.random.default_rng(11)
+    for shape in [(1000,), (37, 53), (1,), (0,)]:
+        hi = rng.uniform(-1e6, 1e6, shape) * 10.0 ** rng.integers(-6, 1, shape)
+        a = DD(hi, 1e-17 * hi * rng.standard_normal(shape))
+        c, ref = dd.cos(a), dd.sincos(a)[1]
+        assert c.hi.shape == shape
+        assert np.array_equal(c.hi, ref.hi) and np.array_equal(c.lo, ref.lo)
+        if hi.size > 100:
+            assert set(np.mod(np.rint(hi / q), 4).ravel()) == {0, 1, 2, 3}
+
+
 def test_log_and_sqrt():
     # log is Newton on exp; a few dd-ulp is all the envelope probing needs
     assert dd_rel(dd.log(DD(10.0, 0.0)), LOG10) < 3e-31

@@ -52,7 +52,7 @@ def test_helper_constructors():
     e = matrix_unit(3, 1)
     assert e.entries[1, 1] == 1.0 and np.sum(np.abs(e.entries)) == 1.0
     d = diag_matrix([1.0, 2.0], n=4)
-    assert d.n == 4 and d.trace() == 3.0
+    assert d.n == 4 and np.trace(d.entries) == 3.0
     with pytest.raises(InvalidSpec):
         diag_matrix([1.0, 2.0], n=1)
 
@@ -113,8 +113,10 @@ def test_trace_identities_random_sample():
     h = sample_gue(50, 12345)
     lam = eigenvalues(h).eigenvalues
     scale = max(1.0, float(np.max(np.abs(h.entries))))
-    assert abs(math.fsum(lam) - h.trace()) < 1e-8 * 50 * scale
-    assert abs(math.fsum(x * x for x in lam) - h.trace_sq()) \
+    trace = np.trace(h.entries).real
+    square = np.sum(np.abs(h.entries) ** 2)  # tr(A^2) for Hermitian A
+    assert abs(math.fsum(lam) - trace) < 1e-8 * 50 * scale
+    assert abs(math.fsum(x * x for x in lam) - square) \
         < 1e-8 * 50 * scale * scale
 
 
@@ -135,10 +137,17 @@ def test_trace_identity_failure_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("diag", [[1e308], [1e308, 1e308], [1e200, -1e200]])
-def test_trace_identity_overflow_raises_non_finite(diag):
-    # the square sum, or fsum's partial sums, leave the float range
+def test_trace_identities_checked_past_the_square_overflow(diag):
+    # tr(A^2), or fsum's partial sums, would leave the float range; the
+    # identities are checked on the exactly scaled matrix and spectrum
+    assert eigenvalues(diag_matrix(diag)).eigenvalues == tuple(sorted(diag))
+
+
+def test_infinite_spectrum_raises_non_finite():
+    # finite entries whose largest eigenvalue, 2e308, is past the range
+    big = HermitianMatrix(np.full((2, 2), 1e308, dtype=complex))
     with pytest.raises(NonFinite):
-        eigenvalues(diag_matrix(diag))
+        eigenvalues(big)
 
 
 def test_unitary_invariance_of_spectrum():

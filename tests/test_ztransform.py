@@ -466,12 +466,12 @@ def test_each_root_polished_inside_its_own_cell(case):
         ends, _ = rule.eval_grid(np.array([k * h, (k + 1) * h]))
         assert ends[0] * ends[1] < 0.0, (zr.z, ends)
         # the table's columns are the rule's polish values at the root
-        value, deriv, _, _ = rule.eval_polish(zr.z)
-        assert (zr.residual, zr.derivative) == (abs(value), deriv)
+        value, deriv, _, _ = rule.eval_polish(np.array([zr.z]))
+        assert (zr.residual, zr.derivative) == (abs(value[0]), deriv[0])
 
 
 def test_extended_grid_equals_polish_across_chunks():
-    # the grid's chunked dd pass and the polish's single-z pass share the
+    # the grid's chunked dd pass and a polish pass on one z share the
     # rule, so value and error agree bit for bit at every z, including the
     # first and last z of each chunk
     rule = _ScanRule(GUE, 15.0, EXTENDED)
@@ -479,8 +479,8 @@ def test_extended_grid_equals_polish_across_chunks():
     zs = np.linspace(0.0, 15.0, 3 * rows + 5)
     vals, errs = rule.eval_grid(zs)
     for z, v, e in zip(zs, vals, errs):
-        value, _, _, err = rule.eval_polish(float(z))
-        assert (v, e) == (value, err), z
+        value, _, _, err = rule.eval_polish(np.array([z]))
+        assert (v, e) == (value[0], err[0]), z
 
 
 def test_scan_passes_match_the_point_loops(monkeypatch):
@@ -524,6 +524,127 @@ def test_scan_passes_match_the_point_loops(monkeypatch):
     rejected = int(table.notes[0].split()[0]) if table.notes else 0
     assert len(table.zeros) + rejected == len(cells)
     assert {math.floor(zr.z / h) for zr in table.zeros} <= set(cells)
+
+
+@pytest.mark.parametrize("n, W", [
+    (1, 3), (7, 3), (50, 3), (50, 24), (50, 25), (50, 60), (1000, 13)])
+def test_window_max_matches_the_sliding_window(n, W):
+    # the block prefix/suffix maxima against the padded sliding window,
+    # also with windows wider than the whole array
+    rng = np.random.default_rng(n * 100 + W)
+    x = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-30, 5, n)
+    x[rng.random(n) < 0.2] = 0.0
+    ref = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, W), 2 * W + 1).max(axis=1)
+    assert np.array_equal(ztransform._window_max(x, W), ref)
+
+
+def _loop_polish(rule, zs, vals, cells):
+    """Zeros, rejected count and rule passes per candidate by the
+    per-candidate Halley loop, one single-z rule pass per step, in Python
+    floats."""
+    zeros, rejected, steps = [], 0, []
+    for i in cells:
+        lo, hi = float(zs[i]), float(zs[i + 1])
+        root = float(lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i]))
+        for k in range(ztransform._POLISH_STEPS):
+            final, dfinal, d2, err = (
+                float(x[0]) for x in rule.eval_polish(np.array([root])))
+            noise = err + abs(dfinal) * ztransform._EPS * max(1.0, abs(root))
+            denom = 2.0 * dfinal * dfinal - final * d2
+            dz = 2.0 * final * dfinal / denom if denom else math.inf
+            if abs(dz * dfinal) <= noise or k == ztransform._POLISH_STEPS - 1:
+                break
+            if final * vals[i] > 0.0:
+                lo = root
+            else:
+                hi = root
+            root -= dz
+            if not lo < root < hi:
+                root = 0.5 * (lo + hi)
+        steps.append(k + 1)
+        if abs(final) <= 1e2 * noise:
+            zeros.append((root, abs(final), dfinal))
+        else:
+            rejected += 1
+    return zeros, rejected, steps
+
+
+@pytest.mark.parametrize("case", [
+    "quartic_native", "quartic_dd", "bump", "xi", "capped"])
+def test_batched_polish_matches_the_candidate_loop(monkeypatch, case):
+    # one rule pass per Halley generation over all live candidates gives
+    # the per-candidate loop's zeros, residuals, derivatives and notes bit
+    # for bit; "capped" scales T' by 1e-3 and T'' by 1e-6 on some roots,
+    # so their steps overshoot a thousandfold, fall back to the cell's
+    # midpoint and run into the step cap
+    zspec, z_max, pc = {
+        "quartic_native": (GUE, 50.0, NATIVE),
+        "quartic_dd": (GUE, 15.0, EXTENDED),
+        "bump": (BumpSource(0.2247), 6.0, NATIVE),
+        "xi": (_XiSource(0.0, XiConfig()), 50.0, NATIVE),
+        "capped": (GUE, 50.0, NATIVE),
+    }[case]
+    polish, passes = _ScanRule.eval_polish, []
+
+    def counted(self, zs):
+        passes.append(zs.size)
+        out = polish(self, zs)
+        if case == "capped":
+            skew = np.where(np.floor(zs * 3.0) % 2 == 0, 1e-3, 1.0)
+            out[1:3] *= (skew, skew * skew)
+        return out
+
+    monkeypatch.setattr(_ScanRule, "eval_polish", counted)
+    grid = {}
+    eval_grid = _ScanRule.eval_grid
+
+    def recorded(self, zs):
+        grid.update(rule=self, zs=zs, out=eval_grid(self, zs))
+        return grid["out"]
+
+    monkeypatch.setattr(_ScanRule, "eval_grid", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepTooCoarseWarning)
+        table = find_real_zeros(zspec, z_max, pc=pc)
+    generations = len(passes)
+    zs, (vals, errs) = grid["zs"], grid["out"]
+    noisy = [(float(a), float(b)) for a, b in table.noise_regions]
+    cells = [i for i in range(zs.size - 1) if vals[i] * vals[i + 1] < 0.0
+             and not any(a <= zs[j] <= b for a, b in noisy
+                         for j in (i, i + 1))]
+    zeros, rejected, steps = _loop_polish(grid["rule"], zs, vals, cells)
+    assert [(zr.z, zr.residual, zr.derivative) for zr in table.zeros] == zeros
+    assert table.notes == ([f"{rejected} candidate(s) failed the residual "
+                            "check"] if rejected else [])
+    assert [zr.index for zr in table.zeros] == list(range(len(zeros)))
+    # one pass per generation, over the candidates still moving
+    assert passes[:generations] == [sum(n > k for n in steps)
+                                    for k in range(max(steps))]
+    if case == "capped":
+        assert rejected and zeros
+        assert max(steps) == ztransform._POLISH_STEPS
+
+
+def test_polish_passes_stay_within_a_chunk(monkeypatch):
+    # with fewer rows per pass than candidates, every dd sincos pass of the
+    # polish holds at most _CHUNK terms, and the table does not change
+    ref = find_real_zeros(GUE, 50.0)
+    n = _ScanRule(GUE, 50.0, NATIVE).u.size
+    monkeypatch.setattr(ztransform, "_CHUNK", 4 * n + 3)
+    assert len(ref.zeros) > ztransform._CHUNK // n
+    lanes = []
+    sincos = dd.sincos
+
+    def counted(a):
+        lanes.append(np.size(a.hi))
+        return sincos(a)
+
+    monkeypatch.setattr(dd, "sincos", counted)
+    table = find_real_zeros(GUE, 50.0)
+    assert table == ref
+    assert lanes and max(lanes) <= ztransform._CHUNK
+    assert max(lanes) == 4 * n
 
 
 @pytest.mark.parametrize("weight", ["xi", "quartic"])
