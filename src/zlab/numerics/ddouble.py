@@ -199,16 +199,21 @@ def from_array(x) -> DD:
     return DD(x, np.zeros_like(x))
 
 
-def reduce_sum(v: DD) -> DD:
+def reduce_sum(v: DD, lengths=None) -> DD:
     """Sum an array-valued DD along its last axis by pairwise folding.
 
     Deterministic and independent of numpy reduction internals; every fold
     is a full double-double addition, so the result carries no summation
     error beyond the representation of the addends.  A scalar or 1-D
-    input gives a scalar DD.
+    input gives a scalar DD.  With lengths (each >= 1), the last axis is
+    cut into consecutive segments of those lengths and the result holds
+    one sum per segment, each folded exactly as reduce_sum folds that
+    segment alone.
     """
     hi = np.atleast_1d(np.asarray(v.hi, dtype=float))
     lo = np.atleast_1d(np.asarray(v.lo, dtype=float))
+    if lengths is not None:
+        return _reduce_segments(hi.copy(), lo.copy(), np.asarray(lengths))
     while hi.shape[-1] > 1:
         k = hi.shape[-1] // 2
         head = DD(hi[..., :k], lo[..., :k]) + DD(hi[..., k:2 * k], lo[..., k:2 * k])
@@ -221,6 +226,24 @@ def reduce_sum(v: DD) -> DD:
     if hi.ndim == 1:
         return DD(float(hi[0]), float(lo[0]))
     return DD(hi[..., 0], lo[..., 0])
+
+
+def _reduce_segments(hi, lo, n) -> DD:
+    # every segment folds in place from its start: its k = n // 2 heads
+    # are element j plus element j + k, and an odd element out moves to
+    # just after the heads, as in reduce_sum's fold of the segment alone
+    start = np.cumsum(n) - n
+    while n.max() > 1:
+        k = n // 2
+        a = np.arange(k.sum()) + np.repeat(start - (np.cumsum(k) - k), k)
+        b = a + np.repeat(k, k)
+        head = DD(hi[..., a], lo[..., a]) + DD(hi[..., b], lo[..., b])
+        hi[..., a], lo[..., a] = head.hi, head.lo
+        odd = (n % 2 == 1) & (k > 0)
+        src, dst = start[odd] + n[odd] - 1, start[odd] + k[odd]
+        hi[..., dst], lo[..., dst] = hi[..., src], lo[..., src]
+        n = k + n % 2
+    return DD(hi[..., start], lo[..., start])
 
 
 def dot(w, v: DD) -> DD:

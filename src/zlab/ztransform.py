@@ -15,7 +15,9 @@ per precision mode, evaluated over the z grid in whole-array chunks)
 locates sign changes on [0, z_max], classifies sub-noise stretches
 honestly instead of inventing zeros in decayed tails, then polishes each
 credible candidate by a cell-guarded Halley iteration on the same rule in
-double-double, all candidates together, one rule pass per step.  A
+double-double, all candidates together, one dd pass per step; a zero flow
+scans each b and polishes the candidates of all its b in those same
+passes, each on its own b's rule.  A
 rectangle count walks the boundary argument, sharing no evaluator with the
 scan, and verify_reality compares the two on the largest resolvable
 window.  The walk and the top-edge probes that pick
@@ -400,22 +402,17 @@ class _ScanRule:
     exact.  The grid and the polish share the rule; per z the error
     estimate is |T(h) - T(2h)| + eps * sum |w|, T(2h) over the even nodes.
     The grid passes a column of z against the row of nodes, _CHUNK terms
-    at a time, in float64 or in double-double by mode, and the polish a
-    column of roots the same way in double-double; dd.reduce_sum folds
-    each row exactly as it folds a single z, so the grid's dd values equal
-    the polish's bit for bit, and no root's values depend on the roots
-    that share its pass.
+    at a time, in float64 or in double-double by mode, and _eval_polish
+    passes roots the same way in double-double; dd.reduce_sum folds each
+    row exactly as it folds a single z, so the grid's dd values equal the
+    polish's bit for bit, and no root's values depend on the roots that
+    share its pass.
     """
 
     def __init__(self, zspec: ZSpec, z_max: float, pc: PrecisionConfig):
         g, self._g_dd = zspec.weights()
-        U = zspec.radius(0.0, pc)
-        x = min(math.pi / (4.0 * max(1.0, z_max)), U / 128.0)
-        # h > x / 2, so the rule has fewer than 2 U / x + 2 nodes
-        if not 2.0 * U < x * (_MAX_GRID - 2):
-            raise InvalidSpec(f"the scan rule would pass {_MAX_GRID} nodes")
-        h = 2.0 ** math.floor(math.log2(x))
-        self.u = h * np.arange(int(math.ceil(U / h)) + 1)
+        h, n = self.grid(zspec, z_max, pc)
+        self.u = h * np.arange(n)
         # the even weight folded onto u >= 0: w_0 = h g(0), w_k = 2h g(u_k)
         self._scale = np.full(self.u.size, 2.0 * h)
         self._scale[0] = h
@@ -423,6 +420,17 @@ class _ScanRule:
         self.extended = pc.mode == "extended"
         self.abs_w = float(np.sum(np.abs(self.w)))
         self.floor = (_DD_EPS if self.extended else _EPS) * self.abs_w
+
+    @staticmethod
+    def grid(zspec: ZSpec, z_max: float, pc: PrecisionConfig):
+        """(h, node count) of the rule for zspec on [0, z_max]."""
+        U = zspec.radius(0.0, pc)
+        x = min(math.pi / (4.0 * max(1.0, z_max)), U / 128.0)
+        # h > x / 2, so the rule has fewer than 2 U / x + 2 nodes
+        if not 2.0 * U < x * (_MAX_GRID - 2):
+            raise InvalidSpec(f"the scan rule would pass {_MAX_GRID} nodes")
+        h = 2.0 ** math.floor(math.log2(x))
+        return h, int(math.ceil(U / h)) + 1
 
     @functools.cached_property
     def _dd_nodes(self) -> tuple[DD, DD, DD, DD]:
@@ -437,13 +445,6 @@ class _ScanRule:
         p, e = dd.two_prod(zc, self.u)
         return self.w * (np.cos(p) - e * np.sin(p))
 
-    @staticmethod
-    def _trapezoid(t: DD):
-        """T(h) and T(h) - T(2h) from dd terms along the last axis."""
-        full = dd.reduce_sum(t)
-        half = dd.reduce_sum(DD(t.hi[..., ::2], t.lo[..., ::2])).scale2(2.0)
-        return full.to_float(), (full - half).to_float()
-
     def eval_grid(self, zs: np.ndarray):
         """T(h) at each z and its error estimate |T(h) - T(2h)| + floor."""
         vals = np.empty(zs.size)
@@ -453,7 +454,7 @@ class _ScanRule:
             zc = zs[s:s + chunk, None]
             if self.extended:
                 u_dd, w_dd, _, _ = self._dd_nodes
-                full, diff = self._trapezoid(w_dd * dd.cos(u_dd * zc))
+                full, diff = _trapezoid(w_dd * dd.cos(u_dd * zc))
             else:
                 t = self._native_terms(zc)
                 full = t.sum(axis=1)
@@ -461,21 +462,62 @@ class _ScanRule:
             vals[s:s + chunk], diffs[s:s + chunk] = full, diff
         return vals, np.abs(diffs) + self.floor
 
-    def eval_polish(self, zs: np.ndarray):
-        """T, T' = -sum w u sin(u z), T'' = -sum w u^2 cos(u z) and the dd
-        error estimate of T at each z, from dd sincos passes of _CHUNK
-        terms whatever the mode."""
-        u_dd, w_dd, wu_dd, wu2_dd = self._dd_nodes
-        out = np.empty((4, zs.size))
-        chunk = max(1, _CHUNK // self.u.size)
-        for s in range(0, zs.size, chunk):
-            sn, c = dd.sincos(u_dd * zs[s:s + chunk, None])
-            value, diff = self._trapezoid(w_dd * c)
-            out[:, s:s + chunk] = (
-                value, -dd.reduce_sum(wu_dd * sn).to_float(),
-                -dd.reduce_sum(wu2_dd * c).to_float(),
-                np.abs(diff) + _DD_EPS * self.abs_w)
-        return out
+
+def _trapezoid(t: DD, lengths=None):
+    """T(h) and T(h) - T(2h) from dd terms along the last axis, or along
+    each of its segments of the given lengths."""
+    if lengths is None:
+        even, half = slice(None, None, 2), None
+    else:
+        first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        even = (np.arange(first.size) - first) % 2 == 0
+        half = (lengths + 1) // 2
+    full = dd.reduce_sum(t, lengths=lengths)
+    twice = dd.reduce_sum(DD(t.hi[..., even], t.lo[..., even]),
+                          lengths=half).scale2(2.0)
+    return full.to_float(), (full - twice).to_float()
+
+
+def _node_row(rules, k: int) -> DD:
+    """Row k of u, w, w u, w u^2 in dd: the rules' rows end to end."""
+    rows = [r._dd_nodes[k] for r in rules]
+    return DD(np.concatenate([t.hi for t in rows]),
+              np.concatenate([t.lo for t in rows]))
+
+
+def _eval_polish(rules, zs: np.ndarray) -> np.ndarray:
+    """T, T' = -sum w u sin(u z), T'' = -sum w u^2 cos(u z) and the dd
+    error estimate of T at each z on its own rule rules[i], from dd sincos
+    passes of at most _CHUNK terms (one z at least) whatever the mode.
+
+    A pass whose roots share one rule is a column of z against the row of
+    nodes; otherwise each z brings its rule's node row, the rows lie end
+    to end and dd.reduce_sum folds them by segment.  Either way each z's
+    values are those of a pass on that z alone, bit for bit.
+    """
+    sizes = np.array([r.u.size for r in rules])
+    ends = np.cumsum(sizes)
+    out = np.empty((4, zs.size))
+    s = 0
+    while s < zs.size:
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - sizes[s] + _CHUNK,
+                                           side="right")))
+        own, n = rules[s:e], sizes[s:e]
+        if all(r is own[0] for r in own):
+            own, z, n = own[:1], zs[s:e, None], None
+        else:
+            z = np.repeat(zs[s:e], n)
+        # each node row is laid out as it is used, so that only one of
+        # the pass's rows is held at a time
+        sn, c = dd.sincos(_node_row(own, 0) * z)
+        value, diff = _trapezoid(_node_row(own, 1) * c, n)
+        out[:, s:e] = (
+            value,
+            -dd.reduce_sum(_node_row(own, 2) * sn, lengths=n).to_float(),
+            -dd.reduce_sum(_node_row(own, 3) * c, lengths=n).to_float(),
+            np.abs(diff) + _DD_EPS * np.array([r.abs_w for r in own]))
+        s = e
+    return out
 
 
 def _window_max(x: np.ndarray, W: int) -> np.ndarray:
@@ -502,24 +544,21 @@ def _spacing_estimate(zspec: ZSpec, pc: PrecisionConfig) -> float:
 # ---------- real-zero scan ----------
 
 
-def find_real_zeros(
-    zspec: ZSpec,
-    z_max: float,
-    pc: PrecisionConfig = NATIVE,
-    step: float | None = None,
-) -> ZeroTable:
-    """Locate the real zeros of Z_b on [0, z_max].
+@dataclass
+class _Scan:
+    """A scan before its polish: its table without zeros, its rule, and
+    the rows lo, hi, v0, root of its candidates: each one's grid cell
+    [lo, hi], the grid value v0 at lo and the cell's secant point."""
 
-    Sign changes whose flanking magnitudes sit below ten times the local
-    error estimate are recorded as noise regions, not zeros.  Each
-    candidate above the floor is polished by Halley steps on the scan rule
-    in double-double from the secant point of its grid cell; a step that
-    leaves the cell's bracket falls back to its midpoint, so every root
-    stays in its own cell.  The candidates are held as arrays, and each
-    Halley generation is one eval_polish call on the roots still moving.
-    A root is accepted only if the final residual is within a hundred
-    times the rule's error estimate.
-    """
+    table: ZeroTable
+    rule: _ScanRule
+    cells: np.ndarray
+
+
+def _scan(zspec: ZSpec, z_max: float, pc: PrecisionConfig,
+          step: float | None = None) -> _Scan:
+    """The grid half of find_real_zeros: the rule, the z grid, the
+    envelope, the noise regions and the candidates' cells."""
     if not (0.0 < z_max < math.inf):
         raise InvalidSpec("z_max must be finite and positive")
     if step is not None and not (0.0 < step < math.inf):
@@ -542,26 +581,38 @@ def find_real_zeros(
     W = max(3, int(math.ceil(spacing / h)))
     env = _window_max(np.abs(vals), W)
 
-    notes: list[str] = []
     noise_mask = env < 10.0 * errs
     edges = np.diff(np.pad(noise_mask, 1).astype(np.int8))
     noise_regions = [(float(zs[i]), float(zs[j - 1])) for i, j in
                      zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
     # sign changes with neither end inside a recorded noise region, each
-    # polished from the secant point of its cell, all live ones together
+    # to be polished from the secant point of its cell
     i = np.flatnonzero((vals[:-1] * vals[1:] < 0.0)
                        & ~noise_mask[:-1] & ~noise_mask[1:])
     lo, hi, v0 = zs[i], zs[i + 1], vals[i]
     root = lo - v0 * (hi - lo) / (vals[i + 1] - v0)
-    final, dfinal, noise = np.empty((3, i.size))
-    live = np.arange(i.size)
+    table = ZeroTable(b=zspec.b, z_max=z_max, step=h, mode=pc.mode, zeros=[],
+                      noise_regions=noise_regions, notes=[])
+    return _Scan(table, rule, np.array([lo, hi, v0, root]))
+
+
+def _polish(scans: list[_Scan]) -> list[ZeroTable]:
+    """The scans' tables, their candidates polished in lockstep: each
+    Halley generation is one _eval_polish call on the roots still moving,
+    each on its own scan's rule, so every root takes the steps it takes
+    when its scan is polished alone."""
+    lo, hi, v0, root = np.concatenate([sc.cells for sc in scans], axis=1)
+    counts = [sc.cells.shape[1] for sc in scans]
+    rules = [sc.rule for sc, m in zip(scans, counts) for _ in range(m)]
+    final, dfinal, noise = np.empty((3, root.size))
+    live = np.arange(root.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(_POLISH_STEPS):
             if not live.size:
                 break
             r = root[live]
-            f, d, d2, err = rule.eval_polish(r)
+            f, d, d2, err = _eval_polish([rules[j] for j in live], r)
             final[live], dfinal[live] = f, d
             # a float root cannot witness a residual below |Z'| * ulp(z_k),
             # so that term joins the rule's error in the root's resolution
@@ -579,22 +630,48 @@ def find_real_zeros(
             r = r - dz
             inside = (lo[live] < r) & (r < hi[live])
             root[live] = np.where(inside, r, 0.5 * (lo[live] + hi[live]))
-    ok = np.abs(final) <= 1e2 * noise
-    zeros = [Zero(index=n, z=float(z), residual=float(abs(v)),
-                  derivative=float(d)) for n, (z, v, d)
-             in enumerate(zip(root[ok], final[ok], dfinal[ok]))]
-    rejected = int(i.size - ok.sum())
-    if rejected:
-        notes.append(f"{rejected} candidate(s) failed the residual check")
-    if len(zeros) >= 2:
-        gaps = np.diff([zr.z for zr in zeros])
-        if gaps.min() < 4.0 * h:
-            warnings.warn(
-                f"zero spacing {gaps.min():.3g} is close to the scan step "
-                f"{h:.3g}; rerun with a smaller step",
-                StepTooCoarseWarning)
-    return ZeroTable(b=zspec.b, z_max=z_max, step=h, mode=pc.mode,
-                     zeros=zeros, noise_regions=noise_regions, notes=notes)
+    cuts = np.cumsum(counts)[:-1]
+    for sc, zk, fk, dk, nk in zip(scans, *(np.split(x, cuts) for x in
+                                          (root, final, dfinal, noise))):
+        ok = np.abs(fk) <= 1e2 * nk
+        zeros = sc.table.zeros = [
+            Zero(index=n, z=float(z), residual=float(abs(v)),
+                 derivative=float(d))
+            for n, (z, v, d) in enumerate(zip(zk[ok], fk[ok], dk[ok]))]
+        rejected = int(zk.size - ok.sum())
+        if rejected:
+            sc.table.notes.append(
+                f"{rejected} candidate(s) failed the residual check")
+        if len(zeros) >= 2:
+            gaps = np.diff([zr.z for zr in zeros])
+            if gaps.min() < 4.0 * sc.table.step:
+                warnings.warn(
+                    f"zero spacing {gaps.min():.3g} is close to the scan "
+                    f"step {sc.table.step:.3g}; rerun with a smaller step",
+                    StepTooCoarseWarning)
+    return [sc.table for sc in scans]
+
+
+def find_real_zeros(
+    zspec: ZSpec,
+    z_max: float,
+    pc: PrecisionConfig = NATIVE,
+    step: float | None = None,
+) -> ZeroTable:
+    """Locate the real zeros of Z_b on [0, z_max].
+
+    Sign changes whose flanking magnitudes sit below ten times the local
+    error estimate are recorded as noise regions, not zeros.  Each
+    candidate above the floor is polished by Halley steps on the scan rule
+    in double-double from the secant point of its grid cell; a step that
+    leaves the cell's bracket falls back to its midpoint, so every root
+    stays in its own cell.  The candidates are held as arrays, and each
+    Halley generation is one _eval_polish pass on the roots still moving.
+    A root is accepted only if the final residual is within a hundred
+    times the rule's error estimate.  flow_zeros runs the same scan and
+    polish over many b at once.
+    """
+    return _polish([_scan(zspec, z_max, pc, step)])[0]
 
 
 # ---------- rectangle count by boundary argument ----------
@@ -805,13 +882,26 @@ def flow_zeros(
 ) -> FlowResult:
     """Track each real zero along an increasing damping schedule.
 
+    Each b is scanned on its own rule as by find_real_zeros, and the
+    candidates of consecutive b are polished together, one dd pass per
+    Halley generation, while their rules hold at most _MAX_GRID nodes in
+    all; each table equals find_real_zeros(zspec.with_b(b), z_max, pc).
     Matching is nearest-neighbor with radius max(0.6, 4 * delta_b); a
     contested match is recorded as an ambiguity, never silently resolved.
     """
     bs = [float(x) for x in b_values]
     if len(bs) < 2 or any(b2 <= b1 for b1, b2 in zip(bs[:-1], bs[1:])):
         raise InvalidSpec("b_values must be strictly increasing, length >= 2")
-    tables = [find_real_zeros(zspec.with_b(b), z_max, pc=pc) for b in bs]
+    tables: list[ZeroTable] = []
+    group: list[_Scan] = []
+    for b in bs:
+        zb = zspec.with_b(b)
+        if group and (sum(sc.rule.u.size for sc in group)
+                      + _ScanRule.grid(zb, z_max, pc)[1] > _MAX_GRID):
+            tables += _polish(group)
+            group = []
+        group.append(_scan(zb, z_max, pc))
+    tables += _polish(group)
     trajectories: list[list[tuple[float, float]]] = [
         [(bs[0], zr.z)] for zr in tables[0].zeros]
     open_traj = list(range(len(trajectories)))

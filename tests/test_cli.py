@@ -5,14 +5,21 @@ envelopes, payload files, and the zero-table cache.
 """
 
 import csv
+import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zlab
 from zlab.cli import main
 from zlab.ztransform import RealityReport
 
@@ -189,6 +196,65 @@ def test_z_flow_trajectory_csv(tmp_path):
     assert abs(float(rows[0][2]) - math.sqrt(6.0)) < 1e-10
     # s = 1 + b = 2: zero at sqrt(4 s^2 + 2 s) = sqrt(20)
     assert abs(float(rows[1][2]) - math.sqrt(20.0)) < 1e-10
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["z-flow", "--params", '{"coeffs":[1.0]}',
+      "--b-grid", "0,0.125,0.25,0.375,0.5", "--zmax", "10"], "5d90035a192a"),
+    (["z-flow", "--params", '{"d":0.5}', "--b-grid", "0,0.05,0.1,0.15,0.2",
+      "--zmax", "20"], "53c801261ca2"),
+    # h halves between b = 0 and b = 0.25
+    (["z-flow", "--params", '{"coeffs":[2.0]}', "--b-grid", "0,0.25,0.5",
+      "--zmax", "10"], "662dfdec2812"),
+    (["z-flow", "--params", '{"d":0.5}', "--b-grid", "0,0.05,0.1",
+      "--zmax", "15", "--precision", "dd"], "4256b4144749"),
+    (["xi-flow", "--b-grid", "0,0.01,0.02,0.03", "--zmax", "30"],
+     "6419023d4068"),
+])
+def test_flow_envelopes_pinned(tmp_path, argv, prefix):
+    # flows polish every b together; their envelopes stay those of one
+    # scan and polish per b
+    assert run(tmp_path, *argv) == 0
+    assert envelope(tmp_path, argv[0])["content_hash"].startswith(
+        f"sha256:{prefix}")
+
+
+def test_import_runs_no_transform_work():
+    # importing the CLI builds no rule, node table or dd value: no dd
+    # elementary function or fold, no function of the transform modules
+    # (their module and class bodies only) and no Gauss-Legendre nodes
+    probe = textwrap.dedent("""
+        import json, sys
+        calls = []
+        def profile(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                calls.append((code.co_filename, code.co_name, code.co_flags))
+        sys.setprofile(profile)
+        import zlab.cli
+        sys.setprofile(None)
+        print(json.dumps(calls))
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(zlab.__file__).resolve().parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    calls = [(Path(f).parent.name + "/" + Path(f).name, name, flags)
+             for f, name, flags in json.loads(out)]
+    dd_work = {"exp", "log", "sqrt", "sin", "cos", "sincos", "exp_i", "cexp",
+               "powi", "_horner", "_reduce_half_pi", "_sin_chain",
+               "_cos_chain", "reduce_sum", "_reduce_segments", "dot"}
+    assert any(f == "zlab/ztransform.py" for f, _, _ in calls)
+    bad = [(f, name) for f, name, flags in calls
+           if (f == "numerics/ddouble.py" and name in dd_work)
+           or (f in ("zlab/ztransform.py", "zlab/xi.py",
+                     "numerics/evenrule.py")
+               and flags & inspect.CO_NEWLOCALS)
+           or (f == "numerics/quadrature.py"
+               and name.startswith("gauss_nodes"))]
+    assert bad == []
 
 
 # ---------- total positivity ----------

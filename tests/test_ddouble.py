@@ -180,6 +180,28 @@ def test_reduce_sum_deterministic_and_compensated():
         assert (folded.hi[i], folded.lo[i]) == (alone.hi, alone.lo)
 
 
+@pytest.mark.parametrize("lengths", [
+    [1], [2], [7], [8], [1, 1, 1], [2, 2], [5, 5, 5], [16, 16, 16],
+    [3, 8], [1, 2, 3, 270, 133, 134, 1, 64, 65], [511, 1, 2, 1024]])
+def test_reduce_sum_by_segment_equals_each_segment_alone(lengths):
+    # the ragged fold gives each segment reduce_sum's own sum, bit for
+    # bit, over magnitudes from 1e-300 to 1e300 with nonzero lo
+    rng = np.random.default_rng(sum(lengths) * 31 + len(lengths))
+    n = sum(lengths)
+    hi = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n)
+    hi, lo = dd.two_sum(hi, hi * 2.0**-55 * rng.uniform(-1.0, 1.0, size=n))
+    assert np.all(lo != 0.0)
+    v = DD(hi.copy(), lo.copy())
+    got = dd.reduce_sum(v, lengths=np.array(lengths))
+    assert np.array_equal(v.hi, hi) and np.array_equal(v.lo, lo)
+    assert got.hi.shape == got.lo.shape == (len(lengths),)
+    start = np.cumsum(lengths) - lengths
+    for j, (s, m) in enumerate(zip(start, lengths)):
+        alone = dd.reduce_sum(DD(hi[s:s + m], lo[s:s + m]))
+        assert (np.array([got.hi[j], got.lo[j]]).tobytes()
+                == np.array([alone.hi, alone.lo]).tobytes()), (j, m)
+
+
 def test_scale2_exact():
     x = DD(1.2345678901234567, 1e-17)
     y = x.scale2(0.25)

@@ -466,7 +466,7 @@ def test_each_root_polished_inside_its_own_cell(case):
         ends, _ = rule.eval_grid(np.array([k * h, (k + 1) * h]))
         assert ends[0] * ends[1] < 0.0, (zr.z, ends)
         # the table's columns are the rule's polish values at the root
-        value, deriv, _, _ = rule.eval_polish(np.array([zr.z]))
+        value, deriv, _, _ = ztransform._eval_polish([rule], np.array([zr.z]))
         assert (zr.residual, zr.derivative) == (abs(value[0]), deriv[0])
 
 
@@ -479,7 +479,7 @@ def test_extended_grid_equals_polish_across_chunks():
     zs = np.linspace(0.0, 15.0, 3 * rows + 5)
     vals, errs = rule.eval_grid(zs)
     for z, v, e in zip(zs, vals, errs):
-        value, _, _, err = rule.eval_polish(np.array([z]))
+        value, _, _, err = ztransform._eval_polish([rule], np.array([z]))
         assert (v, e) == (value[0], err[0]), z
 
 
@@ -548,8 +548,9 @@ def _loop_polish(rule, zs, vals, cells):
         lo, hi = float(zs[i]), float(zs[i + 1])
         root = float(lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i]))
         for k in range(ztransform._POLISH_STEPS):
-            final, dfinal, d2, err = (
-                float(x[0]) for x in rule.eval_polish(np.array([root])))
+            final, dfinal, d2, err = (float(x[0]) for x in
+                                      ztransform._eval_polish(
+                                          [rule], np.array([root])))
             noise = err + abs(dfinal) * ztransform._EPS * max(1.0, abs(root))
             denom = 2.0 * dfinal * dfinal - final * d2
             dz = 2.0 * final * dfinal / denom if denom else math.inf
@@ -585,17 +586,17 @@ def test_batched_polish_matches_the_candidate_loop(monkeypatch, case):
         "xi": (_XiSource(0.0, XiConfig()), 50.0, NATIVE),
         "capped": (GUE, 50.0, NATIVE),
     }[case]
-    polish, passes = _ScanRule.eval_polish, []
+    polish, passes = ztransform._eval_polish, []
 
-    def counted(self, zs):
+    def counted(rules, zs):
         passes.append(zs.size)
-        out = polish(self, zs)
+        out = polish(rules, zs)
         if case == "capped":
             skew = np.where(np.floor(zs * 3.0) % 2 == 0, 1e-3, 1.0)
             out[1:3] *= (skew, skew * skew)
         return out
 
-    monkeypatch.setattr(_ScanRule, "eval_polish", counted)
+    monkeypatch.setattr(ztransform, "_eval_polish", counted)
     grid = {}
     eval_grid = _ScanRule.eval_grid
 
@@ -645,6 +646,93 @@ def test_polish_passes_stay_within_a_chunk(monkeypatch):
     assert table == ref
     assert lanes and max(lanes) <= ztransform._CHUNK
     assert max(lanes) == 4 * n
+
+
+SINGLE_B = (0.0, 0.125, 0.25, 0.375, 0.5)
+QUARTIC = ZSpec(RhoSpec(SchoenbergParams(d=0.5)))
+FLOW_CASES = {
+    "c0.5": (ZSpec(RhoSpec(SchoenbergParams(coeffs=(0.5,)))), SINGLE_B,
+             10.0, NATIVE),
+    "c1": (C1, SINGLE_B, 10.0, NATIVE),
+    # h halves between b = 0.125 and 0.25: 135, 131, then 254 nodes
+    "c2": (ZSpec(RhoSpec(SchoenbergParams(coeffs=(2.0,)))), SINGLE_B,
+           10.0, NATIVE),
+    # 134 nodes at b < 0.2, 133 at b = 0.2
+    "quartic": (QUARTIC, (0.0, 0.05, 0.1, 0.15, 0.2), 20.0, NATIVE),
+    "xi": (_XiSource(0.0, XiConfig()), (0.0, 0.01, 0.02, 0.03), 30.0,
+           NATIVE),
+    "quartic_dd": (QUARTIC, (0.0, 0.05, 0.1), 15.0, EXTENDED),
+    # the pair closes in on its collision at b = 0.2247 and is gone at 0.3
+    "bump": (BumpSource(1.0), (0.0, 0.1, 0.2, 0.222, 0.224, 0.3), 6.0,
+             NATIVE),
+}
+
+
+@pytest.mark.parametrize("case", list(FLOW_CASES))
+def test_flow_tables_equal_standalone_tables(monkeypatch, case):
+    # a flow polishes all its b together, yet each of its tables equals
+    # the standalone table at that b field for field, bit for bit; each
+    # Halley generation is one pass over every b, and StepTooCoarseWarning
+    # fires once per affected table, in b order
+    zspec, bs, z_max, pc = FLOW_CASES[case]
+    polish, passes = ztransform._eval_polish, []
+
+    def counted(rules, zs):
+        passes.append(zs.size)
+        return polish(rules, zs)
+
+    monkeypatch.setattr(ztransform, "_eval_polish", counted)
+
+    def coarse(caught):
+        return [str(w.message) for w in caught
+                if issubclass(w.category, StepTooCoarseWarning)]
+
+    alone, steps, warned = [], [], []
+    for b in bs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone.append(find_real_zeros(zspec.with_b(b), z_max, pc=pc))
+        warned += coarse(caught)
+        steps.append(len(passes))
+        passes.clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        flow = flow_zeros(zspec, bs, z_max, pc=pc)
+    assert flow.tables == alone
+    assert all(table.zeros for table in alone[:3])
+    assert len(passes) == max(steps) < sum(steps)
+    assert coarse(caught) == warned
+    if case == "bump":
+        assert len(warned) == 2 and not alone[-1].zeros
+
+
+def test_flow_groups_stay_within_the_node_cap(monkeypatch):
+    # with the node cap at 600, the c = 0.5 flow (rules of 270, 241, 220,
+    # 204 and 191 nodes) polishes in three groups of at most 600 nodes,
+    # and with _CHUNK at 450 every dd sincos pass stays within it, one of
+    # them across two b; the flow does not change
+    zspec = FLOW_CASES["c0.5"][0]
+    ref = flow_zeros(zspec, SINGLE_B, 10.0)
+    groups, lanes = [], []
+    polish, sincos = ztransform._polish, dd.sincos
+
+    def grouped(scans):
+        groups.append([sc.rule.u.size for sc in scans])
+        return polish(scans)
+
+    def counted(a):
+        lanes.append(np.size(a.hi))
+        return sincos(a)
+
+    monkeypatch.setattr(ztransform, "_polish", grouped)
+    monkeypatch.setattr(dd, "sincos", counted)
+    monkeypatch.setattr(ztransform, "_MAX_GRID", 600)
+    monkeypatch.setattr(ztransform, "_CHUNK", 450)
+    flow = flow_zeros(zspec, SINGLE_B, 10.0)
+    assert flow == ref
+    assert groups == [[270, 241], [220, 204], [191]]
+    assert max(lanes) <= ztransform._CHUNK
+    assert 220 + 204 in lanes
 
 
 @pytest.mark.parametrize("weight", ["xi", "quartic"])
